@@ -46,6 +46,9 @@ class Reader {
   double f64();
   /// Length-prefixed byte string (copies out).
   Buffer bytes();
+  /// Consumes the next `n` bytes and returns a pointer to them (valid as
+  /// long as the underlying data).
+  const std::uint8_t* take(std::size_t n);
 
   std::size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }
@@ -58,7 +61,8 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// CRC-32 (IEEE 802.3, reflected). Table-driven, no dependencies.
+/// CRC-32 (IEEE 802.3, reflected). Table-driven (slicing-by-8), no
+/// dependencies.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 inline std::uint32_t crc32(const Buffer& buffer) {
   return crc32(buffer.data(), buffer.size());

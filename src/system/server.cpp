@@ -49,6 +49,7 @@ double Server::raw_bandwidth_estimate(const UserState& user) const {
 void Server::on_pose(std::size_t u, std::size_t t, const motion::Pose& pose) {
   UserState& user = users_.at(u);
   user.predictor->observe(t, pose);
+  user.predicted_pose_valid = false;
   user.last_pose = pose;
   user.has_pose = true;
   user.last_pose_slot = t;
@@ -64,7 +65,11 @@ motion::Pose Server::predict_pose(std::size_t u) const {
   // Poses arrive one slot late; the content is displayed one slot after
   // transmission (Section V pipeline), so predict two slots ahead of the
   // newest pose on record.
-  return user.predictor->predict(2);
+  if (!user.predicted_pose_valid) {
+    user.predicted_pose = user.predictor->predict(2);
+    user.predicted_pose_valid = true;
+  }
+  return user.predicted_pose;
 }
 
 void Server::on_bandwidth_sample(std::size_t u, double mbps) {
@@ -322,6 +327,7 @@ void Server::import_handoff(std::size_t u, const proto::UserHandoff& frame,
   user.pose_stale = frame.pose_stale;
   if (frame.has_pose) {
     user.predictor->observe(frame.pose_slot, frame.pose);
+    user.predicted_pose_valid = false;
     user.last_pose = frame.pose;
     user.has_pose = true;
     user.last_pose_slot = frame.pose_slot;
@@ -409,10 +415,21 @@ TileRequest Server::make_request(std::size_t u, core::QualityLevel level) {
                       ? user.delivered.filter_needed(request.full_set)
                       : request.full_set;
 
+  // Tile sizes as ContentDb::tile_size_megabits computes them, with the
+  // cell's content resolved once per run of same-cell ids instead of
+  // once per tile (every id here was packed above at a valid tile/level).
   auto set_megabits = [&](const std::vector<content::VideoId>& ids) {
     double total = 0.0;
+    const content::CellContent* cc = nullptr;
+    content::GridCell cc_cell{};
     for (content::VideoId id : ids) {
-      total += content_db_.tile_size_megabits(content::unpack_video_id(id));
+      const content::TileKey key = content::unpack_video_id(id);
+      if (cc == nullptr || !(key.cell == cc_cell)) {
+        cc = &content_db_.cell_content(key.cell);
+        cc_cell = key.cell;
+      }
+      total += cc->frame_megabits[static_cast<std::size_t>(key.level - 1)] *
+               cc->weight[static_cast<std::size_t>(key.tile_index)];
     }
     return total;
   };
@@ -445,7 +462,7 @@ TileRequest Server::make_request(std::size_t u, core::QualityLevel level) {
       const double with_fallback = cvr::megabits_to_slot_rate(
           set_megabits(request.tiles) + set_megabits(needed));
       if (with_fallback <= config_.fallback_headroom_fraction *
-                               user.bandwidth.estimate_mbps()) {
+                               raw_bandwidth_estimate(user)) {
         request.fallback_set = std::move(fallback_set);
         request.tiles.insert(request.tiles.end(), needed.begin(), needed.end());
       }
@@ -464,10 +481,7 @@ TileRequest Server::make_request(std::size_t u, core::QualityLevel level) {
 
   // Track what fraction of the full tile set actually goes on the air
   // (repetition suppression), for the loss-aware packet estimates.
-  double full_megabits = 0.0;
-  for (content::VideoId id : request.full_set) {
-    full_megabits += content_db_.tile_size_megabits(content::unpack_video_id(id));
-  }
+  const double full_megabits = set_megabits(request.full_set);
   if (full_megabits > 1e-12) {
     constexpr double kFractionAlpha = 0.05;
     user.transmit_fraction +=

@@ -145,7 +145,12 @@ class Server {
   /// the side channel).
   void on_pose(std::size_t u, std::size_t t, const motion::Pose& pose);
 
-  /// Server-side pose prediction for the upcoming slot.
+  /// Server-side pose prediction for the upcoming slot. The regression
+  /// is evaluated once per new pose and memoized (on_pose,
+  /// import_handoff and reset_user invalidate it), so the problem build,
+  /// admission, tile request and serve steps of one slot share one
+  /// evaluation. The memo makes this const call write per-user state:
+  /// concurrent calls for one Server are not safe.
   motion::Pose predict_pose(std::size_t u) const;
 
   /// Feeds the bandwidth sample measured for user `u` (Mbps).
@@ -290,6 +295,10 @@ class Server {
     std::size_t viewed_slots = 0;
     motion::Pose last_pose;
     bool has_pose = false;
+    /// predictor->predict(2) as of the newest observation; valid while
+    /// predicted_pose_valid (cleared whenever the predictor observes).
+    mutable motion::Pose predicted_pose;
+    mutable bool predicted_pose_valid = false;
     // Watchdog clocks (slot numbers on the build_problem timeline).
     std::size_t last_pose_slot = 0;
     std::size_t last_feedback_slot = 0;

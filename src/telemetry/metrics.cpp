@@ -66,7 +66,11 @@ double HistogramData::quantile(double p) const {
     hi = std::min(hi, max);
     if (hi < lo) hi = lo;
     if (hi_rank == lo_rank) return lo;
-    const double frac = (rank - lo_rank) / (hi_rank - lo_rank + 1.0);
+    // A fractional rank between two buckets' integer ranks lands here
+    // with rank < lo_rank; it takes the bucket's lower bound, so the
+    // estimate never drops below the previous bucket's values.
+    const double frac =
+        std::max(0.0, (rank - lo_rank) / (hi_rank - lo_rank + 1.0));
     return lo + frac * (hi - lo);
   }
   return max;

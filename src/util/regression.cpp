@@ -1,7 +1,9 @@
 #include "src/util/regression.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace cvr {
 
@@ -45,60 +47,86 @@ double SlidingLinearRegressor::predict(double x) const {
 
 PolynomialRegressor::PolynomialRegressor(int degree, std::size_t max_history)
     : degree_(degree < 0 ? 0 : degree),
-      max_history_(max_history == 0 ? 1 : max_history) {}
+      max_history_(max_history == 0 ? 1 : max_history) {
+  if (degree_ > kMaxDegree) {
+    throw std::invalid_argument("PolynomialRegressor: degree above kMaxDegree");
+  }
+}
 
 void PolynomialRegressor::add(double x, double y) {
-  xs_.push_back(x);
-  ys_.push_back(y);
-  if (xs_.size() > max_history_) {
-    xs_.pop_front();
-    ys_.pop_front();
+  if (ring_.empty()) ring_.resize(max_history_);
+  if (count_ < max_history_) {
+    std::size_t slot = head_ + count_;
+    if (slot >= max_history_) slot -= max_history_;
+    ring_[slot] = {x, y};
+    ++count_;
+  } else {
+    // Full: the newest sample overwrites the oldest.
+    ring_[head_] = {x, y};
+    if (++head_ == max_history_) head_ = 0;
   }
   dirty_ = true;
 }
 
 bool PolynomialRegressor::ready() const {
-  return xs_.size() >= static_cast<std::size_t>(degree_) + 1;
+  return count_ >= static_cast<std::size_t>(degree_) + 1;
 }
 
 void PolynomialRegressor::fit() {
   if (!dirty_) return;
   dirty_ = false;
-  coeffs_.clear();
+  fitted_ = false;
   if (!ready()) return;
   const std::size_t dim = static_cast<std::size_t>(degree_) + 1;
-  // Normal equations: (V^T V) c = V^T y with Vandermonde V.
-  std::vector<double> ata(dim * dim, 0.0);
-  std::vector<double> aty(dim, 0.0);
-  for (std::size_t k = 0; k < xs_.size(); ++k) {
-    double powers_i = 1.0;
-    std::vector<double> pows(dim);
+  // Normal equations: (V^T V) c = V^T y with Vandermonde V. Each entry is
+  // summed oldest to newest, one fresh sum per fit: running sums updated
+  // on add/evict would round differently and change every prediction.
+  // V^T V is symmetric and pows[i]*pows[j] == pows[j]*pows[i] exactly,
+  // so filling the upper triangle and mirroring it is bit-identical.
+  constexpr std::size_t kMaxDim = kMaxDegree + 1;
+  double ata[kMaxDim * kMaxDim] = {};
+  double aty[kMaxDim] = {};
+  double pows[kMaxDim];
+  std::size_t slot = head_;
+  for (std::size_t k = 0; k < count_; ++k) {
+    const Sample& s = ring_[slot];
+    if (++slot == max_history_) slot = 0;
+    double power = 1.0;
     for (std::size_t i = 0; i < dim; ++i) {
-      pows[i] = powers_i;
-      powers_i *= xs_[k];
+      pows[i] = power;
+      power *= s.x;
     }
     for (std::size_t i = 0; i < dim; ++i) {
-      aty[i] += pows[i] * ys_[k];
-      for (std::size_t j = 0; j < dim; ++j) ata[i * dim + j] += pows[i] * pows[j];
+      aty[i] += pows[i] * s.y;
+      for (std::size_t j = i; j < dim; ++j) ata[i * dim + j] += pows[i] * pows[j];
     }
   }
+  for (std::size_t i = 1; i < dim; ++i) {
+    for (std::size_t j = 0; j < i; ++j) ata[i * dim + j] = ata[j * dim + i];
+  }
   if (solve_linear_system(ata, aty, dim)) {
-    coeffs_ = aty;
+    std::copy(aty, aty + dim, coeffs_);
+    fitted_ = true;
   }
 }
 
 double PolynomialRegressor::predict(double x) {
   fit();
-  if (coeffs_.empty()) {
-    if (ys_.empty()) return 0.0;
+  if (!fitted_) {
+    if (count_ == 0) return 0.0;
     double total = 0.0;
-    for (double y : ys_) total += y;
-    return total / static_cast<double>(ys_.size());
+    std::size_t slot = head_;
+    for (std::size_t k = 0; k < count_; ++k) {
+      total += ring_[slot].y;
+      if (++slot == max_history_) slot = 0;
+    }
+    return total / static_cast<double>(count_);
   }
+  const std::size_t dim = static_cast<std::size_t>(degree_) + 1;
   double result = 0.0;
   double power = 1.0;
-  for (double c : coeffs_) {
-    result += c * power;
+  for (std::size_t i = 0; i < dim; ++i) {
+    result += coeffs_[i] * power;
     power *= x;
   }
   return result;
@@ -106,11 +134,11 @@ double PolynomialRegressor::predict(double x) {
 
 std::vector<double> PolynomialRegressor::coefficients() {
   fit();
-  return coeffs_;
+  if (!fitted_) return {};
+  return std::vector<double>(coeffs_, coeffs_ + degree_ + 1);
 }
 
-bool solve_linear_system(std::vector<double>& a, std::vector<double>& b,
-                         std::size_t n) {
+bool solve_linear_system(double* a, double* b, std::size_t n) {
   for (std::size_t col = 0; col < n; ++col) {
     std::size_t pivot = col;
     for (std::size_t row = col + 1; row < n; ++row) {

@@ -41,8 +41,20 @@ class SlidingLinearRegressor {
 /// Polynomial least squares of fixed degree, fit on demand from a bounded
 /// history. Solves the normal equations by Gaussian elimination with
 /// partial pivoting; degrees used in this library are small (<= 3).
+///
+/// The history is a ring buffer of `max_history` samples, allocated on
+/// the first add(); adding and refitting never allocate after that. A
+/// refit sums over the window oldest to newest (docs/performance.md, "The
+/// per-user server path"), so its result depends only on the window's
+/// contents and order, never on how many samples passed through it.
 class PolynomialRegressor {
  public:
+  /// Highest supported degree: the refit keeps its normal equations in
+  /// fixed-size stack arrays.
+  static constexpr int kMaxDegree = 7;
+
+  /// Throws std::invalid_argument when degree > kMaxDegree; a negative
+  /// degree clamps to 0 and a zero history to 1.
   PolynomialRegressor(int degree, std::size_t max_history);
 
   void add(double x, double y);
@@ -56,21 +68,30 @@ class PolynomialRegressor {
   /// Coefficients c0..cd of the current fit (fits first if dirty).
   std::vector<double> coefficients();
 
-  std::size_t size() const { return xs_.size(); }
+  std::size_t size() const { return count_; }
 
  private:
+  struct Sample {
+    double x;
+    double y;
+  };
+
   void fit();
 
   int degree_;
   std::size_t max_history_;
-  std::deque<double> xs_, ys_;
-  std::vector<double> coeffs_;
+  /// Ring of max_history_ slots once the first sample arrives; the
+  /// oldest sample sits at head_.
+  std::vector<Sample> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+  double coeffs_[kMaxDegree + 1] = {};
+  bool fitted_ = false;
   bool dirty_ = true;
 };
 
 /// Solves the dense linear system a * x = b in place (Gaussian elimination,
 /// partial pivoting). `a` is row-major n x n. Returns false if singular.
-bool solve_linear_system(std::vector<double>& a, std::vector<double>& b,
-                         std::size_t n);
+bool solve_linear_system(double* a, double* b, std::size_t n);
 
 }  // namespace cvr

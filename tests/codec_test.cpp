@@ -80,6 +80,38 @@ TEST(Crc32, KnownVector) {
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32(nullptr, 0), 0u); }
 
+// Bytewise reference: one table lookup per byte, the textbook form.
+std::uint32_t bytewise_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// Every length 0..300 at every start offset 0..7 (the 8-byte blocks and
+// the byte tail both vary) matches the bytewise reference.
+TEST(Crc32, MatchesBytewiseReferenceAtAllLengthsAndOffsets) {
+  cvr::Rng rng(0xC3C);
+  std::vector<std::uint8_t> data(300 + 8);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
+      const std::uint8_t* start = data.data() + offset;
+      ASSERT_EQ(crc32(start, length), bytewise_crc32(start, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
 TEST(Frame, RoundTrip) {
   Buffer payload = {10, 20, 30};
   const Buffer framed = frame(payload);
@@ -107,6 +139,18 @@ TEST(Frame, BadLengthDetected) {
   framed[0] = 200;  // claims a longer payload than present
   Reader reader(framed);
   EXPECT_THROW(unframe(reader), std::runtime_error);
+}
+
+TEST(Frame, TruncatedPayloadThrows) {
+  // The length field is intact but the stream ends inside the payload
+  // or its CRC: the bulk copy must not read past the input.
+  const Buffer framed = frame({1, 2, 3, 4, 5, 6, 7, 8, 9});
+  for (std::size_t cut = 4; cut < framed.size(); ++cut) {
+    const Buffer truncated(framed.begin(),
+                           framed.begin() + static_cast<std::ptrdiff_t>(cut));
+    Reader reader(truncated);
+    EXPECT_ANY_THROW(unframe(reader)) << "cut at " << cut;
+  }
 }
 
 TEST(Frame, BackToBackFrames) {

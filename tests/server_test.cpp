@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "src/motion/predictor.h"
+
 namespace cvr::system {
 namespace {
 
@@ -131,6 +137,142 @@ TEST(Server, FallbackPrefetchGatedWhenNoHeadroom) {
   }
   const TileRequest request = server.make_request(0, 4);
   EXPECT_TRUE(request.fallback_set.empty());  // insurance skipped
+}
+
+// Regression: under the probing arm the passive EMA never gets a sample
+// and sits at its 40 Mbps prior, so the headroom gate must read the
+// probing estimate, which here says the link is tight.
+TEST(Server, FallbackPrefetchGatedByProbingEstimate) {
+  auto request_with_samples = [](double mbps) {
+    ServerConfig config = small_config();
+    config.fallback_prefetch = true;
+    config.estimator_arm = EstimatorArm::kProbing;
+    Server server(config, 1);
+    for (std::size_t t = 0; t < 30; ++t) {
+      motion::Pose p;
+      p.x = 5.0 + 0.02 * static_cast<double>(t);
+      p.y = 4.0;
+      server.on_pose(0, t, p);
+      server.on_bandwidth_sample(0, mbps);
+    }
+    return server.make_request(0, 1);
+  };
+  EXPECT_TRUE(request_with_samples(2.0).fallback_set.empty());
+  EXPECT_FALSE(request_with_samples(100.0).fallback_set.empty());
+}
+
+bool same_pose(const motion::Pose& a, const motion::Pose& b) {
+  const auto xa = a.as_array();
+  const auto xb = b.as_array();
+  for (std::size_t i = 0; i < xa.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(xa[i]) !=
+        std::bit_cast<std::uint64_t>(xb[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+motion::Pose walk_pose(std::size_t t, double speed) {
+  motion::Pose p;
+  p.x = 3.0 + speed * static_cast<double>(t);
+  p.y = 4.0 - 0.5 * speed * static_cast<double>(t);
+  p.yaw = 10.0 + 3.0 * static_cast<double>(t);
+  return p;
+}
+
+// The per-slot pose memo never serves a prediction older than the
+// predictor's newest observation.
+TEST(ServerPoseMemo, OnPoseInvalidates) {
+  const ServerConfig config = small_config();
+  Server server(config, 1);
+  motion::LinearMotionPredictor fresh(config.predictor);
+  for (std::size_t t = 0; t < 25; ++t) {
+    const motion::Pose p = walk_pose(t, 0.03);
+    server.on_pose(0, t, p);
+    fresh.observe(t, p);
+    EXPECT_TRUE(same_pose(server.predict_pose(0), fresh.predict(2))) << t;
+    EXPECT_TRUE(same_pose(server.predict_pose(0), fresh.predict(2))) << t;
+  }
+}
+
+TEST(ServerPoseMemo, ImportHandoffInvalidates) {
+  const ServerConfig config = small_config();
+  Server source(config, 1);
+  Server dest(config, 1);
+  for (std::size_t t = 0; t < 10; ++t) {
+    source.on_pose(0, t, walk_pose(t, 0.05));
+    dest.on_pose(0, t, walk_pose(t, -0.04));
+  }
+  (void)dest.predict_pose(0);  // memoize the destination's old user
+  const proto::UserHandoff frame = source.export_handoff(0, 10);
+  dest.import_handoff(0, frame, 11);
+  motion::LinearMotionPredictor fresh(config.predictor);
+  fresh.observe(frame.pose_slot, frame.pose);
+  EXPECT_TRUE(same_pose(dest.predict_pose(0), fresh.predict(2)));
+}
+
+TEST(ServerPoseMemo, ResetUserStartsWithoutMemo) {
+  const ServerConfig config = small_config();
+  Server server(config, 1);
+  for (std::size_t t = 0; t < 10; ++t) server.on_pose(0, t, walk_pose(t, 0.05));
+  (void)server.predict_pose(0);
+  server.reset_user(0);
+  EXPECT_TRUE(same_pose(server.predict_pose(0), motion::Pose{}));
+  motion::LinearMotionPredictor fresh(config.predictor);
+  server.on_pose(0, 20, walk_pose(20, 0.01));
+  fresh.observe(20, walk_pose(20, 0.01));
+  EXPECT_TRUE(same_pose(server.predict_pose(0), fresh.predict(2)));
+}
+
+TEST(ServerPoseMemo, PoseStaleHoldsLastPoseThenRecovers) {
+  const ServerConfig config = small_config();
+  Server server(config, 1);
+  motion::LinearMotionPredictor fresh(config.predictor);
+  for (std::size_t t = 0; t < 10; ++t) {
+    server.on_pose(0, t, walk_pose(t, 0.05));
+    fresh.observe(t, walk_pose(t, 0.05));
+  }
+  (void)server.build_problem(10);
+  EXPECT_TRUE(same_pose(server.predict_pose(0), fresh.predict(2)));
+  // Blackout: the pose watchdog trips and the persistence fallback
+  // replaces the (memoized) regression.
+  const std::size_t stale_slot = 10 + config.pose_staleness_slots + 1;
+  (void)server.build_problem(stale_slot);
+  EXPECT_TRUE(same_pose(server.predict_pose(0), walk_pose(9, 0.05)));
+  // A fresh pose ends the blackout: the regression is back, refitted.
+  server.on_pose(0, stale_slot, walk_pose(stale_slot, 0.05));
+  fresh.observe(stale_slot, walk_pose(stale_slot, 0.05));
+  (void)server.build_problem(stale_slot + 1);
+  EXPECT_TRUE(same_pose(server.predict_pose(0), fresh.predict(2)));
+}
+
+TEST(ServerPoseMemo, MandatoryLoadMatchesUnmemoizedPredictions) {
+  const ServerConfig config = small_config();
+  Server server(config, 3);
+  std::vector<motion::LinearMotionPredictor> fresh(
+      3, motion::LinearMotionPredictor(config.predictor));
+  const std::vector<std::size_t> members = {0, 1, 2};
+  for (std::size_t t = 0; t < 12; ++t) {
+    for (std::size_t u = 0; u < 3; ++u) {
+      const motion::Pose p = walk_pose(t, 0.02 * static_cast<double>(u + 1));
+      server.on_pose(u, t, p);
+      fresh[u].observe(t, p);
+    }
+    double expected = 0.0;
+    for (std::size_t u : members) {
+      const motion::Pose predicted = fresh[u].predict(2);
+      content::GridCell cell =
+          content::cell_for_position(predicted.x, predicted.y);
+      const auto& db = server.content_db().config();
+      cell.gx = std::clamp(cell.gx, 0, db.grid_width - 1);
+      cell.gy = std::clamp(cell.gy, 0, db.grid_height - 1);
+      expected += server.content_db().cell_content(cell).rate[0];
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(server.mandatory_load(members)),
+              std::bit_cast<std::uint64_t>(expected))
+        << t;
+  }
 }
 
 TEST(Server, MakeRequestReturnsPredictedFovTiles) {

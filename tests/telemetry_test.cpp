@@ -67,6 +67,26 @@ TEST(Metrics, HistogramQuantilesAreOrderedAndBounded) {
   EXPECT_NEAR(p50, 500.0, 300.0);
 }
 
+// A quantile whose fractional rank falls between the last sample of one
+// bucket and the first of the next (here rank 0.99 * 239 = 236.61 sits
+// between the 237th and 238th samples) must not interpolate below the
+// next bucket's lower bound: p95 <= p99 has to hold.
+TEST(Metrics, HistogramQuantileBetweenBucketsStaysOrdered) {
+  MetricsRegistry registry;
+  const auto id = registry.histogram("h", {1.0, 2.0, 4.0});
+  for (int i = 0; i < 237; ++i) registry.record(id, 1.5);
+  registry.record(id, 2.5);
+  registry.record(id, 3.0);
+  registry.record(id, 5.0);
+  const HistogramData h = registry.snapshot().histograms.at("h");
+  ASSERT_EQ(h.count, 240u);
+  EXPECT_LE(h.quantile(0.95), h.quantile(0.99));
+  EXPECT_GE(h.quantile(0.99), 2.0);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_LE(h.quantile(i / 100.0), h.quantile((i + 1) / 100.0)) << i;
+  }
+}
+
 TEST(Metrics, HistogramRejectsBadEdges) {
   MetricsRegistry registry;
   EXPECT_THROW(registry.histogram("empty", {}), std::invalid_argument);
