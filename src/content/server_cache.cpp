@@ -1,8 +1,8 @@
 #include "src/content/server_cache.h"
 
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace cvr::content {
 
@@ -26,6 +26,12 @@ ServerTileCache::ServerTileCache(ServerCacheConfig config) : config_(config) {
   if (config_.capacity_tiles == 0) {
     throw std::invalid_argument("ServerTileCache: zero capacity");
   }
+  if (config_.window_radius_cells < 0) {
+    throw std::invalid_argument(
+        "ServerTileCache: ServerCacheConfig.window_radius_cells must be "
+        ">= 0, got " +
+        std::to_string(config_.window_radius_cells));
+  }
   table_.assign(kMinTableSlots, TableEntry{});
 }
 
@@ -36,41 +42,11 @@ std::uint64_t ServerTileCache::block_key(const GridCell& cell) {
 }
 
 void ServerTileCache::advance(const GridCell& center) {
-  // A whole-cell touch assigns kIdsPerBlock consecutive ticks in one
-  // range stamp; a capacity below one block would let mid-range
-  // evictions target ids of the range itself, so tiny capacities keep
-  // one stamp per id (the naive schedule, exact by construction).
-  const bool range_stamps = config_.capacity_tiles >=
-                            static_cast<std::size_t>(kIdsPerBlock);
   const std::int32_t r = config_.window_radius_cells;
   for (std::int32_t dx = -r; dx <= r; ++dx) {
     for (std::int32_t dy = -r; dy <= r; ++dy) {
-      const GridCell cell{center.gx + dx, center.gy + dy};
-      const std::uint32_t bidx = find_or_create_block(block_key(cell));
-      if (range_stamps) {
-        ring_.push_back({next_tick_, bidx, 0,
-                         static_cast<std::uint8_t>(kIdsPerBlock)});
-      }
-      Block& b = blocks_[bidx];
-      for (int off = 0; off < kIdsPerBlock; ++off) {
-        const bool newly = b.ticks[off] == 0;
-        b.ticks[off] = next_tick_++;
-        if (!range_stamps) {
-          ring_.push_back({b.ticks[off], bidx,
-                           static_cast<std::uint8_t>(off),
-                           static_cast<std::uint8_t>(off + 1)});
-        }
-        if (newly) {
-          ++b.live;
-          ++live_;
-          // Evicting here (not after the block) keeps the exact
-          // insert/evict interleaving of a per-id LRU: a victim later
-          // in this very block is evicted and then re-inserted when
-          // the loop reaches it, exactly as the naive schedule would.
-          while (live_ > config_.capacity_tiles) evict_lru();
-        }
-      }
-      maybe_compact_ring();
+      touch_block(find_or_create_block(
+          block_key({center.gx + dx, center.gy + dy})));
     }
   }
 }
@@ -79,19 +55,23 @@ bool ServerTileCache::lookup(VideoId id) {
   const TileKey tk = unpack_video_id(id);
   const int off = tk.tile_index * kNumQualityLevels + (tk.level - 1);
   const std::uint64_t key = block_key(tk.cell);
-  const std::uint32_t bidx = find_block(key);
-  if (bidx != kNoBlock && blocks_[bidx].ticks[off] != 0) {
-    Block& b = blocks_[bidx];
-    b.ticks[off] = next_tick_++;
-    ring_.push_back({b.ticks[off], bidx, static_cast<std::uint8_t>(off),
-                     static_cast<std::uint8_t>(off + 1)});
+  std::uint32_t bidx = find_block(key);
+  const bool hit = bidx != kNoBlock && blocks_[bidx].ticks[off] != 0;
+  if (hit) {
     ++hits_;
-    maybe_compact_ring();
-    return true;
+  } else {
+    ++misses_;
+    if (bidx == kNoBlock) bidx = find_or_create_block(key);
   }
-  ++misses_;
-  touch_one(bidx != kNoBlock ? bidx : find_or_create_block(key), off);
-  return false;
+  touch_one(bidx, off);
+  return hit;
+}
+
+bool ServerTileCache::contains(VideoId id) const {
+  const TileKey tk = unpack_video_id(id);
+  const int off = tk.tile_index * kNumQualityLevels + (tk.level - 1);
+  const std::uint32_t bidx = find_block(block_key(tk.cell));
+  return bidx != kNoBlock && blocks_[bidx].ticks[off] != 0;
 }
 
 double ServerTileCache::hit_rate() const {
@@ -150,37 +130,47 @@ std::uint32_t ServerTileCache::find_or_create_block(std::uint64_t key) {
 
 void ServerTileCache::touch_one(std::uint32_t block, int offset) {
   Block& b = blocks_[block];
-  const bool newly = b.ticks[offset] == 0;
-  b.ticks[offset] = next_tick_++;
-  ring_.push_back({b.ticks[offset], block, static_cast<std::uint8_t>(offset),
+  const std::uint32_t bit = 1u << offset;
+  b.ticks[offset] = next_tick_;
+  ring_.push_back({next_tick_++, block, static_cast<std::uint8_t>(offset),
                    static_cast<std::uint8_t>(offset + 1)});
-  if (newly) {
-    ++b.live;
+  if ((b.mask & bit) == 0) {
+    b.mask |= bit;
     ++live_;
-    while (live_ > config_.capacity_tiles) evict_lru();
+    evict_to_capacity();
   }
   maybe_compact_ring();
 }
 
-void ServerTileCache::evict_lru() {
+void ServerTileCache::touch_block(std::uint32_t block) {
+  Block& b = blocks_[block];
+  const std::uint64_t base = next_tick_;
+  for (int off = 0; off < kIdsPerBlock; ++off) {
+    b.ticks[off] = base + static_cast<std::uint64_t>(off);
+  }
+  next_tick_ += kIdsPerBlock;
+  live_ += static_cast<std::size_t>(kIdsPerBlock - std::popcount(b.mask));
+  b.mask = kFullMask;
+  ring_.push_back({base, block, 0, static_cast<std::uint8_t>(kIdsPerBlock)});
+  evict_to_capacity();
+  maybe_compact_ring();
+}
+
+void ServerTileCache::evict_to_capacity() {
   // Ticks only grow, so the ring is sorted: the first stamped offset
   // whose tick is unchanged is the least-recently-touched live id.
-  // Every live id has a current stamp, so the scan always terminates.
-  for (;;) {
+  // Every live id has a current stamp, so the ring never runs dry
+  // while size() > capacity.
+  while (live_ > config_.capacity_tiles) {
     Stamp& st = ring_[ring_head_];
     Block& b = blocks_[st.block];
     std::uint64_t tick = st.tick;
     std::uint8_t off = st.begin;
-    bool evicted = false;
-    while (off < st.end) {
+    while (off < st.end && live_ > config_.capacity_tiles) {
       if (b.ticks[off] == tick) {
         b.ticks[off] = 0;
-        --b.live;
+        b.mask &= ~(1u << off);
         --live_;
-        evicted = true;
-        ++off;
-        ++tick;
-        break;
       }
       ++off;
       ++tick;
@@ -188,20 +178,20 @@ void ServerTileCache::evict_lru() {
     st.begin = off;
     st.tick = tick;
     if (off >= st.end) ++ring_head_;
-    if (evicted) {
-      if (b.live == 0) free_block(st.block);
-      return;
-    }
+    // The id that empties a block ends its stamp (a later offset of the
+    // stamp still holds its tick or was re-touched, so it is live), and
+    // every older stamp of the block is consumed: once freed, no stamp
+    // from the ring's head on reaches the block again.
+    if (b.mask == 0) free_block(st.block);
   }
 }
 
 void ServerTileCache::free_block(std::uint32_t block) {
-  Block& b = blocks_[block];
-  std::fill(std::begin(b.ticks), std::end(b.ticks), 0);
+  const std::uint64_t key = blocks_[block].key;
   const std::size_t mask = table_.size() - 1;
-  for (std::size_t i = slot_index(b.key, table_.size());; i = (i + 1) & mask) {
+  for (std::size_t i = slot_index(key, table_.size());; i = (i + 1) & mask) {
     TableEntry& e = table_[i];
-    if (e.state == kStateLive && e.key == b.key) {
+    if (e.state == kStateLive && e.key == key) {
       e.state = kStateTombstone;
       break;
     }
@@ -212,12 +202,12 @@ void ServerTileCache::free_block(std::uint32_t block) {
 }
 
 void ServerTileCache::maybe_compact_ring() {
-  // Live stamps number at most live_blocks_ (ranges) + live_ (singles),
-  // so past this threshold at least half the span is stale and one
-  // compaction pass amortizes to O(1) per touch.
-  if (ring_.size() - ring_head_ > 2 * (live_blocks_ + live_) + 1024) {
-    compact_ring();
-  }
+  // The whole vector counts, consumed prefix included. After a pass the
+  // ring holds ring_floor_ stamps; the next pass comes at least
+  // ring_floor_ + 1024 pushes later and scans at most 2 * ring_floor_ +
+  // 1024 stamps, so compaction amortizes to O(1) per push and the ring
+  // stays within about twice its live stamps.
+  if (ring_.size() > 2 * ring_floor_ + 1024) compact_ring();
 }
 
 void ServerTileCache::compact_ring() {
@@ -237,18 +227,19 @@ void ServerTileCache::compact_ring() {
   }
   ring_.resize(out);
   ring_head_ = 0;
+  ring_floor_ = out;
 }
 
 void ServerTileCache::rehash_table(std::size_t new_size) {
-  const std::vector<TableEntry> old = std::move(table_);
-  table_.assign(new_size, TableEntry{});
+  spare_.assign(new_size, TableEntry{});
   const std::size_t mask = new_size - 1;
-  for (const TableEntry& e : old) {
+  for (const TableEntry& e : table_) {
     if (e.state != kStateLive) continue;
     std::size_t i = slot_index(e.key, new_size);
-    while (table_[i].state != kStateEmpty) i = (i + 1) & mask;
-    table_[i] = e;
+    while (spare_[i].state != kStateEmpty) i = (i + 1) & mask;
+    spare_[i] = e;
   }
+  table_.swap(spare_);
   tombstones_ = 0;
 }
 

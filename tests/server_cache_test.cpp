@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <list>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
@@ -43,6 +45,7 @@ class ReferenceLru {
     return false;
   }
 
+  bool contains(VideoId id) const { return map_.count(id) != 0; }
   std::size_t size() const { return map_.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -72,7 +75,7 @@ class ReferenceLru {
 /// Random walks + random lookups, comparing hits/misses/size and the
 /// full per-id hit/miss sequence against the reference after every
 /// operation. Small capacities force heavy eviction churn, including
-/// capacities below one cell block (the per-id stamp fallback).
+/// capacities below one cell block.
 void run_differential(std::size_t capacity, std::int32_t radius,
                       std::uint64_t seed, int ops) {
   ServerCacheConfig config;
@@ -114,11 +117,120 @@ TEST(ServerTileCache, MatchesReferenceLruUnderChurn) {
 }
 
 TEST(ServerTileCache, MatchesReferenceLruAtTinyCapacity) {
-  // Below one cell block (4 tiles x 6 levels = 24 ids) the cache keeps
-  // per-id stamps; eviction can land inside the cell being advanced.
+  // Below one cell block (4 tiles x 6 levels = 24 ids) eviction lands
+  // inside the cell being advanced: the range stamp it just pushed is
+  // itself partly consumed.
   run_differential(/*capacity=*/7, /*radius=*/1, /*seed=*/3, /*ops=*/300);
   run_differential(/*capacity=*/24, /*radius=*/0, /*seed=*/4, /*ops=*/300);
   run_differential(/*capacity=*/25, /*radius=*/1, /*seed=*/5, /*ops=*/300);
+}
+
+/// Compares residency of every id in the cells within `reach` of
+/// `center` (contains() touches neither structure's recency).
+void expect_same_residency(const ServerTileCache& cache,
+                           const ReferenceLru& reference, GridCell center,
+                           std::int32_t reach, int op) {
+  for (std::int32_t dx = -reach; dx <= reach; ++dx) {
+    for (std::int32_t dy = -reach; dy <= reach; ++dy) {
+      const GridCell cell{center.gx + dx, center.gy + dy};
+      for (int tile = 0; tile < kTilesPerFrame; ++tile) {
+        for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
+          const VideoId id = pack_video_id({cell, tile, q});
+          ASSERT_EQ(cache.contains(id), reference.contains(id))
+              << "op " << op << " id " << id;
+        }
+      }
+    }
+  }
+}
+
+/// Long differential run: a directional walk (a heading kept for many
+/// steps, so the window keeps entering fresh cells and leaving old ones
+/// behind: whole-block eviction, ring compaction and table tombstones
+/// all recur) mixed with lookups. Most lookups re-touch single ids
+/// inside the window's range-stamped blocks, leaving those stamps
+/// partly stale; the rest miss outside it and insert single ids, so
+/// the live count is rarely a multiple of a block and eviction often
+/// stops in the middle of a range. After every advance the residency
+/// of the window +-(r+2) must equal the reference's.
+void run_long_differential(std::size_t capacity, std::uint64_t seed,
+                           int ops) {
+  ServerCacheConfig config;
+  config.capacity_tiles = capacity;
+  const std::int32_t r = config.window_radius_cells;
+  ServerTileCache cache(config);
+  ReferenceLru reference(config);
+  cvr::Rng rng(seed);
+  GridCell center{0, 0};
+  std::int32_t hx = 1;
+  std::int32_t hy = 0;
+  for (int op = 0; op < ops; ++op) {
+    const double roll = rng.uniform();
+    if (roll < 0.25) {
+      if (rng.uniform() < 0.05) {
+        hx = static_cast<std::int32_t>(rng.uniform_int(-1, 1));
+        hy = static_cast<std::int32_t>(rng.uniform_int(-1, 1));
+      }
+      center.gx += hx;
+      center.gy += hy;
+      cache.advance(center);
+      reference.advance(center);
+      expect_same_residency(cache, reference, center, r + 2, op);
+      if (::testing::Test::HasFatalFailure()) return;
+    } else {
+      const std::int32_t reach = roll < 0.85 ? r : r + 6;
+      const GridCell cell{
+          center.gx + static_cast<std::int32_t>(rng.uniform_int(-reach, reach)),
+          center.gy + static_cast<std::int32_t>(rng.uniform_int(-reach, reach))};
+      const int tile = static_cast<int>(rng.uniform_int(0, kTilesPerFrame - 1));
+      const QualityLevel q =
+          static_cast<QualityLevel>(rng.uniform_int(1, kNumQualityLevels));
+      const VideoId id = pack_video_id({cell, tile, q});
+      ASSERT_EQ(cache.lookup(id), reference.lookup(id))
+          << "op " << op << " id " << id;
+    }
+    ASSERT_EQ(cache.size(), reference.size()) << "op " << op;
+    ASSERT_EQ(cache.hits(), reference.hits()) << "op " << op;
+    ASSERT_EQ(cache.misses(), reference.misses()) << "op " << op;
+  }
+}
+
+TEST(ServerTileCache, LongWalkMatchesReferenceAtDefaultCapacity) {
+  run_long_differential(ServerCacheConfig{}.capacity_tiles, /*seed=*/11,
+                        /*ops=*/20000);
+}
+
+TEST(ServerTileCache, LongWalkMatchesReferenceAtMidCapacity) {
+  run_long_differential(/*capacity=*/3000, /*seed=*/12, /*ops=*/20000);
+}
+
+TEST(ServerTileCache, LongWalkMatchesReferenceBelowOneWindow) {
+  // One id short of a full window: every advance evicts ids of cells it
+  // touched earlier in the same pass.
+  const std::int32_t side = 2 * ServerCacheConfig{}.window_radius_cells + 1;
+  run_long_differential(
+      static_cast<std::size_t>(kTilesPerFrame * kNumQualityLevels * side *
+                               side) -
+          1,
+      /*seed=*/13, /*ops=*/20000);
+}
+
+TEST(ServerTileCache, ContainsDoesNotTouchRecencyOrCounters) {
+  ServerCacheConfig config;
+  config.capacity_tiles = 48;  // two cells
+  config.window_radius_cells = 0;
+  ServerTileCache cache(config);
+  cache.advance({0, 0});
+  cache.advance({1, 0});
+  const VideoId oldest = pack_video_id({{0, 0}, 0, 1});
+  EXPECT_TRUE(cache.contains(oldest));
+  EXPECT_FALSE(cache.contains(pack_video_id({{5, 5}, 0, 1})));
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+  // Had contains() refreshed `oldest`, cell (1,0)'s first id would be
+  // the victim instead.
+  cache.advance({2, 0});
+  EXPECT_FALSE(cache.contains(oldest));
+  EXPECT_TRUE(cache.contains(pack_video_id({{1, 0}, 0, 1})));
 }
 
 TEST(ServerTileCache, AdvancePrefetchesWindow) {
@@ -179,6 +291,25 @@ TEST(ServerTileCache, RejectsZeroCapacity) {
   ServerCacheConfig bad;
   bad.capacity_tiles = 0;
   EXPECT_THROW(ServerTileCache{bad}, std::invalid_argument);
+}
+
+TEST(ServerTileCache, RejectsNegativeWindowRadius) {
+  // A negative radius would prefetch nothing while callers treat the
+  // window as primed, turning every later lookup into a silent miss.
+  ServerCacheConfig bad;
+  bad.window_radius_cells = -1;
+  try {
+    ServerTileCache cache(bad);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "ServerCacheConfig.window_radius_cells"),
+              std::string::npos)
+        << e.what();
+  }
+  ServerCacheConfig zero;
+  zero.window_radius_cells = 0;
+  EXPECT_NO_THROW(ServerTileCache{zero});
 }
 
 }  // namespace

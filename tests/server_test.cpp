@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "src/motion/predictor.h"
 
@@ -19,6 +21,22 @@ ServerConfig small_config() {
 
 TEST(Server, RejectsZeroUsers) {
   EXPECT_THROW(Server(small_config(), 0), std::invalid_argument);
+}
+
+TEST(Server, RejectsNegativeCacheWindowRadius) {
+  // Otherwise every user's cache is marked primed after an advance that
+  // prefetched nothing, and every tile request misses silently.
+  ServerConfig config = small_config();
+  config.cache.window_radius_cells = -2;
+  try {
+    Server server(config, 3);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "ServerCacheConfig.window_radius_cells"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Server, PredictsLinearWalk) {
