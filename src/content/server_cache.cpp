@@ -1,6 +1,8 @@
 #include "src/content/server_cache.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -26,37 +28,137 @@ ServerTileCache::ServerTileCache(ServerCacheConfig config) : config_(config) {
   if (config_.capacity_tiles == 0) {
     throw std::invalid_argument("ServerTileCache: zero capacity");
   }
-  if (config_.window_radius_cells < 0) {
+  if (config_.window_radius_cells < 0 ||
+      config_.window_radius_cells > kMaxWindowRadiusCells) {
     throw std::invalid_argument(
-        "ServerTileCache: ServerCacheConfig.window_radius_cells must be "
-        ">= 0, got " +
+        "ServerTileCache: ServerCacheConfig.window_radius_cells must be in "
+        "[0, " +
+        std::to_string(kMaxWindowRadiusCells) + "], got " +
         std::to_string(config_.window_radius_cells));
   }
   table_.assign(kMinTableSlots, TableEntry{});
+  const auto side =
+      static_cast<std::size_t>(2 * config_.window_radius_cells + 1);
+  window_.assign(side * side, kNoBlock);
+  next_window_.assign(side * side, kNoBlock);
 }
 
-std::uint64_t ServerTileCache::block_key(const GridCell& cell) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cell.gx))
-          << 32) |
-         static_cast<std::uint32_t>(cell.gy);
+std::uint64_t ServerTileCache::block_key(std::uint32_t gx, std::uint32_t gy) {
+  return (static_cast<std::uint64_t>(gx) << 32) | gy;
+}
+
+bool ServerTileCache::in_window(const Block& b) const {
+  // Cell offsets from the window's low corner, modulo 2^32: in range
+  // exactly when the cell is one of the (2r+1)^2 window cells.
+  const auto r = static_cast<std::uint32_t>(config_.window_radius_cells);
+  const std::uint32_t ox =
+      static_cast<std::uint32_t>(b.key >> 32) -
+      static_cast<std::uint32_t>(window_center_.gx) + r;
+  const std::uint32_t oy = static_cast<std::uint32_t>(b.key) -
+                           static_cast<std::uint32_t>(window_center_.gy) + r;
+  return has_window_ && ox <= 2 * r && oy <= 2 * r;
 }
 
 void ServerTileCache::advance(const GridCell& center) {
-  const std::int32_t r = config_.window_radius_cells;
-  for (std::int32_t dx = -r; dx <= r; ++dx) {
-    for (std::int32_t dy = -r; dy <= r; ++dy) {
-      touch_block(find_or_create_block(
-          block_key({center.gx + dx, center.gy + dy})));
+  const auto r = static_cast<std::uint32_t>(config_.window_radius_cells);
+  const std::uint32_t side = 2 * r + 1;
+  const auto cx = static_cast<std::uint32_t>(center.gx);
+  const auto cy = static_cast<std::uint32_t>(center.gy);
+  std::fill(next_window_.begin(), next_window_.end(), kNoBlock);
+
+  // Staying blocks move to their new scan position; leaving blocks get
+  // their implicit ticks written out and stage their stamps at the end
+  // of the ring.
+  const std::size_t staged_from = ring_.size();
+  if (has_window_) {
+    // Old scan offsets plus (sx, sy) are the new ones, modulo 2^32.
+    const std::uint32_t sx =
+        static_cast<std::uint32_t>(window_center_.gx) - cx;
+    const std::uint32_t sy =
+        static_cast<std::uint32_t>(window_center_.gy) - cy;
+    std::size_t pos = 0;
+    for (std::uint32_t dx = 0; dx < side; ++dx) {
+      for (std::uint32_t dy = 0; dy < side; ++dy, ++pos) {
+        const std::uint32_t block = window_[pos];
+        const std::uint32_t nx = sx + dx;
+        const std::uint32_t ny = sy + dy;
+        if (nx < side && ny < side) {
+          next_window_[nx * side + ny] = block;
+          // Only blocks the window eviction cursor reached lost ids.
+          if (pos * kIdsPerBlock < window_cursor_) fill_block(block);
+        } else {
+          leave_window(block, pos);
+        }
+      }
     }
+  }
+  // The leaving ticks lie between the stamps that predate the previous
+  // advance and the lookups since: rotate them in at the split. (Once
+  // eviction has passed the split, every implicit window id is evicted
+  // and nothing was staged.)
+  std::rotate(ring_.begin() + static_cast<std::ptrdiff_t>(ring_split_),
+              ring_.begin() + static_cast<std::ptrdiff_t>(staged_from),
+              ring_.end());
+
+  // Entering blocks.
+  std::size_t pos = 0;
+  for (std::uint32_t dx = 0; dx < side; ++dx) {
+    for (std::uint32_t dy = 0; dy < side; ++dy, ++pos) {
+      if (next_window_[pos] != kNoBlock) continue;
+      const std::uint32_t block =
+          find_or_create_block(block_key(cx - r + dx, cy - r + dy));
+      next_window_[pos] = block;
+      fill_block(block);
+    }
+  }
+
+  window_.swap(next_window_);
+  window_center_ = center;
+  has_window_ = true;
+  window_base_ = next_tick_;
+  next_tick_ += static_cast<std::uint64_t>(window_.size()) * kIdsPerBlock;
+  window_cursor_ = 0;
+  ring_split_ = ring_.size();
+  evict_to_capacity();
+  maybe_compact_ring();
+}
+
+void ServerTileCache::fill_block(std::uint32_t block) {
+  Block& b = blocks_[block];
+  live_ += static_cast<std::size_t>(kIdsPerBlock - std::popcount(b.mask));
+  b.mask = kFullMask;
+}
+
+void ServerTileCache::leave_window(std::uint32_t block, std::size_t pos) {
+  Block& b = blocks_[block];
+  const std::uint64_t first_tick =
+      window_base_ + static_cast<std::uint64_t>(pos) * kIdsPerBlock;
+  int begin = kIdsPerBlock;
+  int end = 0;
+  for (int off = 0; off < kIdsPerBlock; ++off) {
+    if ((b.mask >> off & 1u) != 0 && b.ticks[off] < window_base_) {
+      b.ticks[off] = first_tick + static_cast<std::uint64_t>(off);
+      begin = std::min(begin, off);
+      end = off + 1;
+    }
+  }
+  if (begin < end) {
+    ring_.push_back({first_tick + static_cast<std::uint64_t>(begin), block,
+                     static_cast<std::uint8_t>(begin),
+                     static_cast<std::uint8_t>(end)});
+  } else if (b.mask == 0) {
+    free_block(block);
   }
 }
 
 bool ServerTileCache::lookup(VideoId id) {
   const TileKey tk = unpack_video_id(id);
   const int off = tk.tile_index * kNumQualityLevels + (tk.level - 1);
-  const std::uint64_t key = block_key(tk.cell);
+  const std::uint64_t key = block_key(static_cast<std::uint32_t>(tk.cell.gx),
+                                      static_cast<std::uint32_t>(tk.cell.gy));
   std::uint32_t bidx = find_block(key);
-  const bool hit = bidx != kNoBlock && blocks_[bidx].ticks[off] != 0;
+  const bool hit =
+      bidx != kNoBlock && (blocks_[bidx].mask >> off & 1u) != 0;
   if (hit) {
     ++hits_;
   } else {
@@ -70,8 +172,10 @@ bool ServerTileCache::lookup(VideoId id) {
 bool ServerTileCache::contains(VideoId id) const {
   const TileKey tk = unpack_video_id(id);
   const int off = tk.tile_index * kNumQualityLevels + (tk.level - 1);
-  const std::uint32_t bidx = find_block(block_key(tk.cell));
-  return bidx != kNoBlock && blocks_[bidx].ticks[off] != 0;
+  const std::uint32_t bidx =
+      find_block(block_key(static_cast<std::uint32_t>(tk.cell.gx),
+                           static_cast<std::uint32_t>(tk.cell.gy)));
+  return bidx != kNoBlock && (blocks_[bidx].mask >> off & 1u) != 0;
 }
 
 double ServerTileCache::hit_rate() const {
@@ -111,7 +215,7 @@ std::uint32_t ServerTileCache::find_or_create_block(std::uint64_t key) {
     bidx = static_cast<std::uint32_t>(blocks_.size());
     blocks_.emplace_back();
   }
-  blocks_[bidx].key = key;  // ticks already zero (fresh or free_block'd)
+  blocks_[bidx].key = key;  // mask already zero (fresh or free_block'd)
   if (insert_at != npos) {
     --tombstones_;
   } else {
@@ -142,34 +246,41 @@ void ServerTileCache::touch_one(std::uint32_t block, int offset) {
   maybe_compact_ring();
 }
 
-void ServerTileCache::touch_block(std::uint32_t block) {
-  Block& b = blocks_[block];
-  const std::uint64_t base = next_tick_;
-  for (int off = 0; off < kIdsPerBlock; ++off) {
-    b.ticks[off] = base + static_cast<std::uint64_t>(off);
-  }
-  next_tick_ += kIdsPerBlock;
-  live_ += static_cast<std::size_t>(kIdsPerBlock - std::popcount(b.mask));
-  b.mask = kFullMask;
-  ring_.push_back({base, block, 0, static_cast<std::uint8_t>(kIdsPerBlock)});
-  evict_to_capacity();
-  maybe_compact_ring();
-}
-
 void ServerTileCache::evict_to_capacity() {
-  // Ticks only grow, so the ring is sorted: the first stamped offset
-  // whose tick is unchanged is the least-recently-touched live id.
-  // Every live id has a current stamp, so the ring never runs dry
-  // while size() > capacity.
+  // Ticks only grow, so each of the three ranges is sorted: the first
+  // live id of the earliest non-exhausted range is the least recently
+  // touched. Every live id outside the window has a current stamp and
+  // every in-window id not looked up since the advance lies past the
+  // window cursor, so neither runs dry while size() > capacity.
+  const std::size_t window_ids = window_.size() * kIdsPerBlock;
   while (live_ > config_.capacity_tiles) {
+    if (ring_head_ >= ring_split_ && has_window_ &&
+        window_cursor_ < window_ids) {
+      Block& b = blocks_[window_[window_cursor_ / kIdsPerBlock]];
+      int off = static_cast<int>(window_cursor_ % kIdsPerBlock);
+      for (; off < kIdsPerBlock && live_ > config_.capacity_tiles;
+           ++off, ++window_cursor_) {
+        const std::uint32_t bit = 1u << off;
+        if ((b.mask & bit) != 0 && b.ticks[off] < window_base_) {
+          b.mask &= ~bit;
+          --live_;
+        }
+      }
+      continue;
+    }
     Stamp& st = ring_[ring_head_];
     Block& b = blocks_[st.block];
+    const bool block_in_window = in_window(b);
+    if (ring_head_ < ring_split_ && block_in_window) {
+      ++ring_head_;  // the advance re-touched every id of the block
+      continue;
+    }
     std::uint64_t tick = st.tick;
     std::uint8_t off = st.begin;
     while (off < st.end && live_ > config_.capacity_tiles) {
-      if (b.ticks[off] == tick) {
-        b.ticks[off] = 0;
-        b.mask &= ~(1u << off);
+      const std::uint32_t bit = 1u << off;
+      if ((b.mask & bit) != 0 && b.ticks[off] == tick) {
+        b.mask &= ~bit;
         --live_;
       }
       ++off;
@@ -178,11 +289,13 @@ void ServerTileCache::evict_to_capacity() {
     st.begin = off;
     st.tick = tick;
     if (off >= st.end) ++ring_head_;
-    // The id that empties a block ends its stamp (a later offset of the
-    // stamp still holds its tick or was re-touched, so it is live), and
-    // every older stamp of the block is consumed: once freed, no stamp
-    // from the ring's head on reaches the block again.
-    if (b.mask == 0) free_block(st.block);
+    // Out of the window, the id that empties a block ends its stamp (a
+    // later offset of the stamp still holds its tick or was re-touched,
+    // so it is resident), and every older stamp of the block is
+    // consumed: once freed, no stamp from the ring's head on reaches
+    // the block again. In-window blocks stay allocated: the window holds
+    // their indices.
+    if (b.mask == 0 && !block_in_window) free_block(st.block);
   }
 }
 
@@ -212,21 +325,27 @@ void ServerTileCache::maybe_compact_ring() {
 
 void ServerTileCache::compact_ring() {
   std::size_t out = 0;
+  std::size_t kept_before_split = 0;
   for (std::size_t i = ring_head_; i < ring_.size(); ++i) {
     const Stamp& st = ring_[i];
     const Block& b = blocks_[st.block];
     bool alive = false;
-    std::uint64_t tick = st.tick;
-    for (std::uint8_t off = st.begin; off < st.end; ++off, ++tick) {
-      if (b.ticks[off] == tick) {
-        alive = true;
-        break;
+    if (i >= ring_split_ || !in_window(b)) {
+      std::uint64_t tick = st.tick;
+      for (std::uint8_t off = st.begin; off < st.end; ++off, ++tick) {
+        if ((b.mask >> off & 1u) != 0 && b.ticks[off] == tick) {
+          alive = true;
+          break;
+        }
       }
     }
-    if (alive) ring_[out++] = st;
+    if (!alive) continue;
+    ring_[out++] = st;
+    if (i < ring_split_) ++kept_before_split;
   }
   ring_.resize(out);
   ring_head_ = 0;
+  ring_split_ = kept_before_split;
   ring_floor_ = out;
 }
 

@@ -888,4 +888,125 @@ std::string FixtureTraits<QoeTrace>::show(const QoeTrace& trace) {
   return out;
 }
 
+Gen<CacheScript> cache_scripts() {
+  return [](cvr::Rng& rng) {
+    CacheScript script;
+    script.radius = static_cast<std::int32_t>(rng.uniform_int(0, 4));
+    const std::int32_t r = script.radius;
+    const auto window_ids = static_cast<std::int64_t>(
+        (2 * r + 1) * (2 * r + 1) * content::kTilesPerFrame *
+        content::kNumQualityLevels);
+    const double band = rng.uniform();
+    if (band < 0.25) {
+      script.capacity = static_cast<std::size_t>(rng.uniform_int(1, 48));
+    } else if (band < 0.6) {
+      script.capacity = static_cast<std::size_t>(
+          rng.uniform_int(std::max<std::int64_t>(1, window_ids - 24),
+                          window_ids + 48));
+    } else {
+      script.capacity = static_cast<std::size_t>(rng.uniform_int(1, 25000));
+    }
+    const auto len = static_cast<std::size_t>(rng.uniform_int(1, 60));
+    for (std::size_t i = 0; i < len; ++i) {
+      CacheScript::Op op;
+      const double kind = rng.uniform();
+      const auto sign = [&rng] { return rng.bernoulli(0.5) ? 1 : -1; };
+      if (kind < 0.25) {  // one-cell step
+        op.dx = static_cast<std::int32_t>(rng.uniform_int(-1, 1));
+        op.dy = static_cast<std::int32_t>(rng.uniform_int(-1, 1));
+      } else if (kind < 0.4) {  // jump: the windows overlap in part
+        const auto far = static_cast<std::int32_t>(
+            rng.uniform_int(std::min(2, 2 * r + 1), 2 * r + 1));
+        const auto near = static_cast<std::int32_t>(rng.uniform_int(0, far));
+        op.dx = sign() * far;
+        op.dy = sign() * near;
+        if (rng.bernoulli(0.5)) std::swap(op.dx, op.dy);
+      } else if (kind < 0.5) {  // teleport: no overlap
+        op.dx = sign() * static_cast<std::int32_t>(
+                             rng.uniform_int(2 * r + 2, 5000));
+        op.dy = static_cast<std::int32_t>(rng.uniform_int(-5000, 5000));
+      } else if (kind < 0.55) {  // same centre again
+      } else {
+        op.advance = false;
+        op.tile = static_cast<int>(
+            rng.uniform_int(0, content::kTilesPerFrame - 1));
+        op.level = static_cast<int>(
+            rng.uniform_int(1, content::kNumQualityLevels));
+        if (kind < 0.85) {  // around the window
+          op.dx = static_cast<std::int32_t>(rng.uniform_int(-r - 2, r + 2));
+          op.dy = static_cast<std::int32_t>(rng.uniform_int(-r - 2, r + 2));
+          op.count = static_cast<int>(rng.uniform_int(1, 4));
+        } else {  // flood of misses
+          op.dx = static_cast<std::int32_t>(rng.uniform_int(10000, 20000));
+          op.dy = static_cast<std::int32_t>(rng.uniform_int(-5000, 5000));
+          // Up to one window's worth, so a flood can evict it all.
+          op.count = static_cast<int>(rng.uniform_int(
+              1, rng.bernoulli(0.7) ? 120 : window_ids + 100));
+        }
+      }
+      script.ops.push_back(op);
+    }
+    return script;
+  };
+}
+
+std::vector<CacheScript> ShrinkTraits<CacheScript>::candidates(
+    const CacheScript& script) {
+  std::vector<CacheScript> out;
+  for (auto& ops : ShrinkTraits<std::vector<CacheScript::Op>>::candidates(
+           script.ops)) {
+    CacheScript smaller = script;
+    smaller.ops = std::move(ops);
+    out.push_back(std::move(smaller));
+  }
+  if (script.radius > 0) {
+    CacheScript smaller = script;
+    --smaller.radius;
+    out.push_back(std::move(smaller));
+  }
+  if (script.capacity > 1) {
+    CacheScript smaller = script;
+    smaller.capacity = script.capacity / 2;
+    out.push_back(smaller);
+    smaller.capacity = script.capacity - 1;
+    out.push_back(std::move(smaller));
+  }
+  for (std::size_t i = 0; i < script.ops.size(); ++i) {
+    const CacheScript::Op& op = script.ops[i];
+    if (op.count > 1) {
+      CacheScript simpler = script;
+      simpler.ops[i].count = op.count / 2;
+      out.push_back(std::move(simpler));
+    }
+    if (op.dx != 0 || op.dy != 0) {
+      CacheScript simpler = script;
+      simpler.ops[i].dx = op.dx / 2;
+      simpler.ops[i].dy = op.dy / 2;
+      out.push_back(std::move(simpler));
+    }
+  }
+  return out;
+}
+
+std::string FixtureTraits<CacheScript>::show(const CacheScript& script) {
+  std::string out = "content::ServerCacheConfig config;\n";
+  out += "config.capacity_tiles = " + std::to_string(script.capacity) + ";\n";
+  out += "config.window_radius_cells = " + std::to_string(script.radius) +
+         ";\ncontent::ServerTileCache cache(config);\n";
+  script.replay(
+      [&out](const content::GridCell& center) {
+        out += "cache.advance({" + std::to_string(center.gx) + ", " +
+               std::to_string(center.gy) + "});\n";
+      },
+      [&out](content::VideoId id) {
+        const content::TileKey key = content::unpack_video_id(id);
+        out += "cache.lookup(content::pack_video_id({{" +
+               std::to_string(key.cell.gx) + ", " +
+               std::to_string(key.cell.gy) + "}, " +
+               std::to_string(key.tile_index) + ", " +
+               std::to_string(key.level) + "}));\n";
+      });
+  return out;
+}
+
 }  // namespace cvr::proptest

@@ -2,8 +2,9 @@
 //
 // Everything the built-in properties (properties.cpp) generate lives
 // here: per-slot allocation problems (with tie-heavy and loss-aware
-// variants), user channels, fault-schedule configs, wire messages, and
-// seeded single-byte corruption cases for the codec. Each type has
+// variants), user channels, fault-schedule configs, wire messages,
+// seeded single-byte corruption cases for the codec, and tile-cache
+// scripts. Each type has
 //
 //   * a generator (pure function of cvr::Rng — see gen.h),
 //   * a ShrinkTraits specialization proposing strictly simpler
@@ -15,6 +16,7 @@
 #include <variant>
 #include <vector>
 
+#include "src/content/tile.h"
 #include "src/core/allocator.h"
 #include "src/faults/fault_schedule.h"
 #include "src/proptest/fixture.h"
@@ -213,6 +215,70 @@ struct ShrinkTraits<QoeTrace> {
 template <>
 struct FixtureTraits<QoeTrace> {
   static std::string show(const QoeTrace& trace);
+};
+
+// ---------------------------------------------------------------------------
+// Server tile-cache scripts
+
+/// A ServerTileCache configuration plus a script of window moves and
+/// lookups. The window centre starts at cell (0, 0).
+struct CacheScript {
+  struct Op {
+    /// True: shift the centre by (dx, dy) and advance. False: look up
+    /// `count` consecutive ids, the first being tile `tile` at level
+    /// `level` of the cell (dx, dy) away from the centre; each further
+    /// id takes the next (tile, level) offset, then the next cell in y.
+    bool advance = true;
+    std::int32_t dx = 0;
+    std::int32_t dy = 0;
+    int tile = 0;
+    int level = 1;
+    int count = 1;
+  };
+  std::size_t capacity = 1;
+  std::int32_t radius = 0;
+  std::vector<Op> ops;
+
+  /// Runs the script: on_advance(GridCell) for each move, on_lookup(
+  /// VideoId) for each id looked up, in order.
+  template <typename Advance, typename Lookup>
+  void replay(Advance&& on_advance, Lookup&& on_lookup) const {
+    constexpr int kIds = content::kTilesPerFrame * content::kNumQualityLevels;
+    content::GridCell center{0, 0};
+    for (const Op& op : ops) {
+      if (op.advance) {
+        center.gx += op.dx;
+        center.gy += op.dy;
+        on_advance(center);
+        continue;
+      }
+      const int first = op.tile * content::kNumQualityLevels + op.level - 1;
+      for (int i = 0; i < op.count; ++i) {
+        const int id = first + i;
+        on_lookup(content::pack_video_id(
+            {{center.gx + op.dx, center.gy + op.dy + id / kIds},
+             (id % kIds) / content::kNumQualityLevels,
+             static_cast<content::QualityLevel>(
+                 id % content::kNumQualityLevels + 1)}));
+      }
+    }
+  }
+};
+
+/// Capacities 1..25 000 (often below one cell, or within a few ids of
+/// one window), radii 0..4, and scripts mixing one-cell steps, jumps of
+/// 2..2r+1 cells, teleports, repeated centres, lookups around the
+/// window and floods of misses far from it.
+Gen<CacheScript> cache_scripts();
+
+template <>
+struct ShrinkTraits<CacheScript> {
+  static std::vector<CacheScript> candidates(const CacheScript& script);
+};
+
+template <>
+struct FixtureTraits<CacheScript> {
+  static std::string show(const CacheScript& script);
 };
 
 }  // namespace cvr::proptest

@@ -1,6 +1,6 @@
 // The built-in property set: differential oracles over the allocator
-// stack, the QoE decomposition, the fault-schedule generator, and the
-// wire codec.
+// stack, the QoE decomposition, the fault-schedule generator, the wire
+// codec, and the server tile cache.
 //
 // Everything registers through register_builtin_properties() — a plain
 // function called from Registry::instance(), NOT static initializers —
@@ -12,7 +12,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <list>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/dv_greedy.h"
@@ -21,6 +23,7 @@
 #include "src/core/optimal.h"
 #include "src/core/simd.h"
 #include "src/content/hevc_process.h"
+#include "src/content/server_cache.h"
 #include "src/faults/fault_schedule.h"
 #include "src/net/estimators.h"
 #include "src/net/mm1.h"
@@ -1240,6 +1243,137 @@ CheckResult check_workload_defaults_inert(const std::uint64_t& seed) {
   return pass();
 }
 
+// ---------------------------------------------------------------------------
+// Server tile cache ≡ naive per-id LRU
+
+/// The oracle: one std::list in recency order plus a map into it. An
+/// advance touches every id of the window cell by cell in scan order
+/// (dx outer, dy inner), evicting the least recent id whenever an
+/// insert overflows the capacity.
+class NaiveTileLru {
+ public:
+  NaiveTileLru(std::size_t capacity, std::int32_t radius)
+      : capacity_(capacity), radius_(radius) {}
+
+  void advance(const content::GridCell& center) {
+    for (std::int32_t dx = -radius_; dx <= radius_; ++dx) {
+      for (std::int32_t dy = -radius_; dy <= radius_; ++dy) {
+        for (int tile = 0; tile < content::kTilesPerFrame; ++tile) {
+          for (int q = 1; q <= content::kNumQualityLevels; ++q) {
+            touch(content::pack_video_id(
+                {{center.gx + dx, center.gy + dy}, tile, q}));
+          }
+        }
+      }
+    }
+  }
+
+  bool lookup(content::VideoId id) {
+    const bool hit = contains(id);
+    ++(hit ? hits_ : misses_);
+    touch(id);
+    return hit;
+  }
+
+  bool contains(content::VideoId id) const { return where_.count(id) != 0; }
+  std::size_t size() const { return where_.size(); }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  void touch(content::VideoId id) {
+    const auto it = where_.find(id);
+    if (it != where_.end()) order_.erase(it->second);
+    order_.push_front(id);
+    where_[id] = order_.begin();
+    if (where_.size() > capacity_) {
+      where_.erase(order_.back());
+      order_.pop_back();
+    }
+  }
+
+  std::size_t capacity_;
+  std::int32_t radius_;
+  std::list<content::VideoId> order_;  // most recent first
+  std::unordered_map<content::VideoId, std::list<content::VideoId>::iterator>
+      where_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+/// Hit/miss results and counters after every lookup and advance, and
+/// residency over the window +-(r+2) before and after every advance and
+/// at the end (lookups in between can evict in-window ids; the next
+/// advance may refill them).
+CheckResult check_server_cache_matches_reference(const CacheScript& script) {
+  content::ServerCacheConfig config;
+  config.capacity_tiles = script.capacity;
+  config.window_radius_cells = script.radius;
+  content::ServerTileCache cache(config);
+  NaiveTileLru oracle(script.capacity, script.radius);
+  std::string failure;
+  std::size_t step = 0;
+  const auto same_counters = [&] {
+    if (cache.size() != oracle.size() || cache.hits() != oracle.hits() ||
+        cache.misses() != oracle.misses()) {
+      failure = "step " + std::to_string(step) + ": size/hits/misses " +
+                std::to_string(cache.size()) + "/" +
+                std::to_string(cache.hits()) + "/" +
+                std::to_string(cache.misses()) + " vs oracle " +
+                std::to_string(oracle.size()) + "/" +
+                std::to_string(oracle.hits()) + "/" +
+                std::to_string(oracle.misses());
+    }
+  };
+  const auto same_residency = [&](const content::GridCell& center) {
+    const std::int32_t reach = script.radius + 2;
+    for (std::int32_t dx = -reach; dx <= reach; ++dx) {
+      for (std::int32_t dy = -reach; dy <= reach; ++dy) {
+        for (int off = 0;
+             off < content::kTilesPerFrame * content::kNumQualityLevels;
+             ++off) {
+          const content::VideoId id = content::pack_video_id(
+              {{center.gx + dx, center.gy + dy},
+               off / content::kNumQualityLevels,
+               off % content::kNumQualityLevels + 1});
+          if (cache.contains(id) != oracle.contains(id)) {
+            failure = "step " + std::to_string(step) + ": id " +
+                      std::to_string(id) + " resident " +
+                      (cache.contains(id) ? "in cache only"
+                                          : "in oracle only");
+            return;
+          }
+        }
+      }
+    }
+  };
+  content::GridCell center{0, 0};
+  script.replay(
+      [&](const content::GridCell& next) {
+        if (!failure.empty()) return;
+        same_residency(center);
+        if (!failure.empty()) return;
+        ++step;
+        center = next;
+        cache.advance(center);
+        oracle.advance(center);
+        same_counters();
+        if (failure.empty()) same_residency(center);
+      },
+      [&](content::VideoId id) {
+        if (!failure.empty()) return;
+        ++step;
+        if (cache.lookup(id) != oracle.lookup(id)) {
+          failure = "step " + std::to_string(step) + ": lookup of id " +
+                    std::to_string(id) + " hit/miss differs";
+          return;
+        }
+        same_counters();
+      });
+  if (failure.empty()) same_residency(center);
+  return failure.empty() ? pass() : fail(failure);
+}
+
 }  // namespace
 
 void register_builtin_properties(Registry& registry) {
@@ -1301,6 +1435,8 @@ void register_builtin_properties(Registry& registry) {
   CVR_PROPERTY("net.wifi_backoff_deterministic", seeds(),
                check_wifi_backoff_deterministic);
   CVR_PROPERTY("content.hevc_gop_mean", seeds(), check_hevc_gop_mean);
+  CVR_PROPERTY_ITERS("content.server_cache_matches_reference", 1000,
+                     cache_scripts(), check_server_cache_matches_reference);
   CVR_PROPERTY("net.probing_estimator_sane", seeds(),
                check_probing_estimator_sane);
   // Runs two full (small) SystemSims per iteration; a lean budget keeps

@@ -48,6 +48,12 @@ double Server::raw_bandwidth_estimate(const UserState& user) const {
 
 void Server::on_pose(std::size_t u, std::size_t t, const motion::Pose& pose) {
   UserState& user = users_.at(u);
+  // A non-finite sample would poison the predictor's running sums and
+  // angle-unwrap state for the rest of the run. Drop it as a missed
+  // upload; the pose-staleness watchdog already covers silence.
+  for (const double v : pose.as_array()) {
+    if (!std::isfinite(v)) return;
+  }
   user.predictor->observe(t, pose);
   user.predicted_pose_valid = false;
   user.last_pose = pose;

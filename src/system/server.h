@@ -142,7 +142,8 @@ class Server {
   std::size_t user_count() const { return users_.size(); }
 
   /// Ingests the pose user `u` reported for slot `t` (already delayed by
-  /// the side channel).
+  /// the side channel). A pose with a non-finite field is dropped, as
+  /// if the upload had been lost.
   void on_pose(std::size_t u, std::size_t t, const motion::Pose& pose);
 
   /// Server-side pose prediction for the upcoming slot. The regression

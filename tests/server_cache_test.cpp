@@ -1,5 +1,6 @@
 #include "src/content/server_cache.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <stdexcept>
@@ -215,6 +216,133 @@ TEST(ServerTileCache, LongWalkMatchesReferenceBelowOneWindow) {
       /*seed=*/13, /*ops=*/20000);
 }
 
+/// Differential run over advance shapes the walks above never produce:
+/// jumps of 2..2r+1 cells (the windows overlap in part), teleports (no
+/// overlap), a second advance at the same centre, and floods of
+/// misses between advances. With a capacity a few ids above one window
+/// a flood evicts in-window ids, which a later advance refills.
+/// Hit/miss/size are compared after every operation and residency over
+/// the window +-(r+2) after every advance.
+void run_shape_differential(std::size_t capacity, std::int32_t radius,
+                            std::uint64_t seed, int ops) {
+  ServerCacheConfig config;
+  config.capacity_tiles = capacity;
+  config.window_radius_cells = radius;
+  ServerTileCache cache(config);
+  ReferenceLru reference(config);
+  cvr::Rng rng(seed);
+  GridCell center{0, 0};
+  std::int32_t flood_cell = 0;
+  const auto check_counters = [&](int op) {
+    ASSERT_EQ(cache.size(), reference.size()) << "op " << op;
+    ASSERT_EQ(cache.hits(), reference.hits()) << "op " << op;
+    ASSERT_EQ(cache.misses(), reference.misses()) << "op " << op;
+  };
+  for (int op = 0; op < ops; ++op) {
+    const double roll = rng.uniform();
+    if (roll < 0.45) {
+      const double shape = rng.uniform();
+      if (shape < 0.35) {
+        // Jump: the larger axis moves 2..2r+1 cells (1 at radius 0).
+        const auto far = static_cast<std::int32_t>(
+            rng.uniform_int(std::min(2, 2 * radius + 1), 2 * radius + 1));
+        const auto near = static_cast<std::int32_t>(rng.uniform_int(0, far));
+        const std::int32_t sx = rng.uniform() < 0.5 ? -1 : 1;
+        const std::int32_t sy = rng.uniform() < 0.5 ? -1 : 1;
+        if (rng.uniform() < 0.5) {
+          center.gx += sx * far;
+          center.gy += sy * near;
+        } else {
+          center.gx += sx * near;
+          center.gy += sy * far;
+        }
+      } else if (shape < 0.55) {
+        // Teleport: no window cell survives.
+        center.gx += static_cast<std::int32_t>(
+            rng.uniform_int(2 * radius + 2, 4000));
+        center.gy -= static_cast<std::int32_t>(rng.uniform_int(-4000, 4000));
+      } else if (shape < 0.7) {
+        // Same centre again: every window id is re-touched in scan order.
+      } else {
+        center.gx += static_cast<std::int32_t>(rng.uniform_int(-1, 1));
+        center.gy += static_cast<std::int32_t>(rng.uniform_int(-1, 1));
+      }
+      cache.advance(center);
+      reference.advance(center);
+      expect_same_residency(cache, reference, center, radius + 2, op);
+      if (::testing::Test::HasFatalFailure()) return;
+    } else if (roll < 0.55) {
+      // Flood: distinct misses far outside any window.
+      const int count = static_cast<int>(rng.uniform_int(1, 80));
+      for (int i = 0; i < count; ++i, ++flood_cell) {
+        const VideoId id = pack_video_id(
+            {{1000000 + flood_cell / 3, -1000000}, flood_cell % 3, 1 + i % 6});
+        ASSERT_EQ(cache.lookup(id), reference.lookup(id))
+            << "op " << op << " id " << id;
+      }
+    } else {
+      const std::int32_t reach = radius + 2;
+      const GridCell cell{
+          center.gx + static_cast<std::int32_t>(rng.uniform_int(-reach, reach)),
+          center.gy + static_cast<std::int32_t>(rng.uniform_int(-reach, reach))};
+      const int tile = static_cast<int>(rng.uniform_int(0, kTilesPerFrame - 1));
+      const QualityLevel q =
+          static_cast<QualityLevel>(rng.uniform_int(1, kNumQualityLevels));
+      const VideoId id = pack_video_id({cell, tile, q});
+      ASSERT_EQ(cache.lookup(id), reference.lookup(id))
+          << "op " << op << " id " << id;
+    }
+    check_counters(op);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+std::size_t window_ids(std::int32_t radius) {
+  const auto side = static_cast<std::size_t>(2 * radius + 1);
+  return side * side * static_cast<std::size_t>(kTilesPerFrame) *
+         static_cast<std::size_t>(kNumQualityLevels);
+}
+
+TEST(ServerTileCache, JumpsAndTeleportsMatchReferenceAtLargeCapacity) {
+  // Nothing in the window is ever evicted: leaving blocks write their
+  // ticks out, entering ones are probed, staying ones are untouched.
+  run_shape_differential(/*capacity=*/20000, /*radius=*/4, /*seed=*/21,
+                         /*ops=*/2000);
+  run_shape_differential(/*capacity=*/5000, /*radius=*/3, /*seed=*/22,
+                         /*ops=*/2000);
+}
+
+TEST(ServerTileCache, JumpsAndTeleportsMatchReferenceAtRadiusZeroAndOne) {
+  for (const std::size_t capacity : {1u, 5u, 24u, 30u, 100u, 1000u}) {
+    run_shape_differential(capacity, /*radius=*/0, /*seed=*/23 + capacity,
+                           /*ops=*/1500);
+    if (::testing::Test::HasFatalFailure()) return;
+    run_shape_differential(capacity, /*radius=*/1, /*seed=*/29 + capacity,
+                           /*ops=*/1500);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ServerTileCache, FloodsEvictAndAdvancesRefillWindowIds) {
+  // A few ids above one window: every flood runs through the ids
+  // outside the window into the window itself (the eviction cursor),
+  // and the next advance re-inserts the evicted ids of cells it keeps.
+  for (const std::int32_t radius : {0, 1, 2, 4}) {
+    for (const std::size_t extra : {0u, 3u, 17u}) {
+      run_shape_differential(window_ids(radius) + extra, radius,
+                             /*seed=*/40 + 7 * radius + extra, /*ops=*/1200);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(ServerTileCache, FloodsBelowOneWindowMatchReference) {
+  run_shape_differential(window_ids(2) - 30, /*radius=*/2, /*seed=*/61,
+                         /*ops=*/2000);
+  run_shape_differential(window_ids(4) / 2, /*radius=*/4, /*seed=*/62,
+                         /*ops=*/1500);
+}
+
 TEST(ServerTileCache, ContainsDoesNotTouchRecencyOrCounters) {
   ServerCacheConfig config;
   config.capacity_tiles = 48;  // two cells
@@ -310,6 +438,31 @@ TEST(ServerTileCache, RejectsNegativeWindowRadius) {
   ServerCacheConfig zero;
   zero.window_radius_cells = 0;
   EXPECT_NO_THROW(ServerTileCache{zero});
+}
+
+TEST(ServerTileCache, RejectsWindowRadiusAboveCap) {
+  // The window keeps (2r+1)^2 block indices, and cell arithmetic around
+  // the centre must stay far from int32 overflow.
+  ServerCacheConfig at_cap;
+  at_cap.window_radius_cells = ServerTileCache::kMaxWindowRadiusCells;
+  EXPECT_NO_THROW(ServerTileCache{at_cap});
+  ServerCacheConfig bad;
+  bad.window_radius_cells = ServerTileCache::kMaxWindowRadiusCells + 1;
+  try {
+    ServerTileCache cache(bad);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("ServerCacheConfig.window_radius_cells"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(std::to_string(bad.window_radius_cells)),
+              std::string::npos)
+        << what;
+  }
+  ServerCacheConfig huge;
+  huge.window_radius_cells = 2000000000;
+  EXPECT_THROW(ServerTileCache{huge}, std::invalid_argument);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -36,6 +38,24 @@ TEST(Server, RejectsNegativeCacheWindowRadius) {
                   "ServerCacheConfig.window_radius_cells"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Server, RejectsCacheWindowRadiusAboveCap) {
+  ServerConfig config = small_config();
+  config.cache.window_radius_cells =
+      content::ServerTileCache::kMaxWindowRadiusCells + 1;
+  try {
+    Server server(config, 2);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("ServerCacheConfig.window_radius_cells"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(std::to_string(config.cache.window_radius_cells)),
+              std::string::npos)
+        << what;
   }
 }
 
@@ -263,6 +283,40 @@ TEST(ServerPoseMemo, PoseStaleHoldsLastPoseThenRecovers) {
   fresh.observe(stale_slot, walk_pose(stale_slot, 0.05));
   (void)server.build_problem(stale_slot + 1);
   EXPECT_TRUE(same_pose(server.predict_pose(0), fresh.predict(2)));
+}
+
+TEST(ServerPoseMemo, NonFinitePoseIsDroppedLikeAMissedUpload) {
+  // One server receives a poisoned pose at slot k, the other nothing;
+  // their predictions must stay bit-identical for the rest of the run.
+  const ServerConfig config = small_config();
+  const double poisons[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  for (int field = 0; field < 6; ++field) {
+    for (const double poison : poisons) {
+      Server poisoned(config, 1);
+      Server skipped(config, 1);
+      const std::size_t k = 7;
+      for (std::size_t t = 0; t < 30; ++t) {
+        const motion::Pose p = walk_pose(t, 0.04);
+        if (t == k) {
+          auto bad = p.as_array();
+          bad[static_cast<std::size_t>(field)] = poison;
+          poisoned.on_pose(0, t, motion::Pose::from_array(bad));
+        } else {
+          poisoned.on_pose(0, t, p);
+          skipped.on_pose(0, t, p);
+        }
+        (void)poisoned.build_problem(t + 1);
+        (void)skipped.build_problem(t + 1);
+        EXPECT_TRUE(
+            same_pose(poisoned.predict_pose(0), skipped.predict_pose(0)))
+            << "field " << field << " poison " << poison << " t " << t;
+      }
+      const motion::Pose last = poisoned.predict_pose(0);
+      EXPECT_TRUE(std::isfinite(last.x) && std::isfinite(last.yaw));
+    }
+  }
 }
 
 TEST(ServerPoseMemo, MandatoryLoadMatchesUnmemoizedPredictions) {
