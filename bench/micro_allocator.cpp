@@ -10,8 +10,9 @@
 // independent of google-benchmark's adaptive timing);
 // `--machine=NOTE` annotates it with the capture environment.
 // `--sweep` skips google-benchmark and prints a slots/sec scaling table
-// over N in {5, 30, 100, 1000, 10000} for every per-slot solver (the
-// O(N^2 L) paper-literal scan sits out the N=10000 row).
+// over N in {5, 30, 100, 1000, 10000} for every per-slot solver. Arms
+// carry their allocator registry names (src/core/registry.h); the
+// dv-scan oracle is left out, because a test oracle is not perf-gated.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,16 +20,15 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/content/rate_function.h"
 #include "src/core/dv_greedy.h"
 #include "src/core/firefly.h"
 #include "src/core/fractional.h"
-#include "src/core/lagrangian.h"
 #include "src/core/optimal.h"
 #include "src/core/pavq.h"
+#include "src/core/registry.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/rng.h"
 
@@ -55,25 +55,12 @@ SlotProblem make_problem(std::size_t users, std::uint64_t seed = 99) {
 
 void BM_DvGreedy(benchmark::State& state) {
   const SlotProblem problem = make_problem(static_cast<std::size_t>(state.range(0)));
-  // Pinned to the paper-literal scan so this stays a scan-vs-heap
-  // comparison now that the default strategy is kHeap.
-  DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
-                          DvGreedyAllocator::Strategy::kScan);
+  DvGreedyAllocator alloc;
   for (auto _ : state) {
     benchmark::DoNotOptimize(alloc.allocate(problem));
   }
 }
 BENCHMARK(BM_DvGreedy)->Arg(5)->Arg(15)->Arg(30)->Arg(60)->Arg(120)->Arg(240);
-
-void BM_DvGreedyHeap(benchmark::State& state) {
-  const SlotProblem problem = make_problem(static_cast<std::size_t>(state.range(0)));
-  DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
-                          DvGreedyAllocator::Strategy::kHeap);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(alloc.allocate(problem));
-  }
-}
-BENCHMARK(BM_DvGreedyHeap)->Arg(5)->Arg(15)->Arg(30)->Arg(60)->Arg(120)->Arg(240);
 
 void BM_Pavq(benchmark::State& state) {
   const SlotProblem problem = make_problem(static_cast<std::size_t>(state.range(0)));
@@ -123,8 +110,8 @@ BENCHMARK(BM_FractionalBound)->Arg(5)->Arg(30)->Arg(120);
 /// registry, and folds the percentiles into one perf-report arm whose
 /// "phases" are the user counts ("allocate_n<N>").
 telemetry::ArmPerf measure_arm(const std::string& name,
-                               core::Allocator& allocator,
                                const std::vector<std::size_t>& sizes) {
+  const auto allocator = make_allocator(name, AllocatorContext::kSystem);
   // Iterations per size: enough samples for a stable p50 at the small
   // sizes, scaled down at N >= 1000 so the allocate_n10000 phase keeps
   // the whole baseline capture under a few seconds per arm.
@@ -140,11 +127,11 @@ telemetry::ArmPerf measure_arm(const std::string& name,
     const auto id =
         registry.histogram("allocate_n" + std::to_string(n) + "_us",
                            telemetry::default_duration_edges_us());
-    allocator.reset();
+    allocator->reset();
     const std::size_t iters = iters_for(n);
     for (std::size_t i = 0; i < iters; ++i) {
       telemetry::ScopedTimer timer(&registry, id);
-      benchmark::DoNotOptimize(allocator.allocate(problem));
+      benchmark::DoNotOptimize(allocator->allocate(problem));
     }
     arm.slots += iters;
   }
@@ -178,37 +165,15 @@ void write_perf_baseline(const std::string& path, const std::string& machine) {
   report.mode = telemetry::Mode::kCounters;
   const std::vector<std::size_t> sizes = {5, 15, 30, 120};
   // The near-linear solvers additionally capture an allocate_n10000
-  // phase (the within-slot parallelism regime); the paper-literal scan
-  // is excluded there — its O(N^2 L) ascent would dominate the run for
-  // no extra signal (the n120 phase already gates its SIMD argmax).
+  // phase (the within-slot parallelism regime).
   const std::vector<std::size_t> sizes_with_large = {5, 15, 30, 120, 10000};
-  {
-    DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
-                            DvGreedyAllocator::Strategy::kScan);
-    report.arms.push_back(measure_arm("dv", alloc, sizes));
-  }
-  {
-    DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
-                            DvGreedyAllocator::Strategy::kHeap);
-    report.arms.push_back(measure_arm("dv_heap", alloc, sizes_with_large));
-  }
-  {
-    // Warm-start ablation: measure_arm repeats the same problem per
-    // size, so from the second iteration on this times the best case —
-    // seed already optimal, ascent exits immediately.
-    DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
-                            DvGreedyAllocator::Strategy::kHeap,
-                            /*warm_start=*/true);
-    report.arms.push_back(measure_arm("dv_warm", alloc, sizes));
-  }
-  {
-    PavqAllocator alloc;
-    report.arms.push_back(measure_arm("pavq", alloc, sizes_with_large));
-  }
-  {
-    FireflyAllocator alloc;
-    report.arms.push_back(measure_arm("firefly", alloc, sizes_with_large));
-  }
+  report.arms.push_back(measure_arm("dv", sizes_with_large));
+  // Warm-start ablation: measure_arm repeats the same problem per size,
+  // so from the second iteration on this times the best case — seed
+  // already optimal, ascent exits immediately.
+  report.arms.push_back(measure_arm("dv-warm", sizes));
+  report.arms.push_back(measure_arm("pavq", sizes_with_large));
+  report.arms.push_back(measure_arm("firefly", sizes_with_large));
   telemetry::write_perf_json(path, report, "micro_allocator", machine);
   std::printf("perf baseline written: %s\n", path.c_str());
 }
@@ -221,35 +186,25 @@ void write_perf_baseline(const std::string& path, const std::string& machine) {
 /// discretised budget and already covered by google-benchmark above).
 void run_sweep() {
   const std::vector<std::size_t> sizes = {5, 30, 100, 1000, 10000};
-  struct Solver {
-    const char* name;
-    std::unique_ptr<core::Allocator> allocator;
-  };
-  std::vector<Solver> solvers;
-  solvers.push_back({"dv", std::make_unique<DvGreedyAllocator>(
-                               DvGreedyAllocator::Mode::kCombined,
-                               DvGreedyAllocator::Strategy::kScan)});
-  solvers.push_back({"dv_heap", std::make_unique<DvGreedyAllocator>(
-                                    DvGreedyAllocator::Mode::kCombined,
-                                    DvGreedyAllocator::Strategy::kHeap)});
-  solvers.push_back({"pavq", std::make_unique<PavqAllocator>()});
-  solvers.push_back({"firefly", std::make_unique<FireflyAllocator>()});
-  solvers.push_back({"lagrangian", std::make_unique<LagrangianAllocator>()});
+  const std::vector<std::string> names = {"dv", "pavq", "firefly",
+                                          "lagrangian"};
+  std::vector<std::unique_ptr<core::Allocator>> solvers;
+  for (const std::string& name : names) {
+    solvers.push_back(make_allocator(name, AllocatorContext::kSystem));
+  }
   std::printf("%-12s %8s %14s %12s\n", "solver", "users", "slots/sec",
               "us/slot");
   for (const std::size_t n : sizes) {
     const SlotProblem problem = make_problem(n);
     const std::size_t iters = std::max<std::size_t>(20, 20000 / n);
-    for (Solver& solver : solvers) {
-      // The paper-literal scan's O(N^2 L) ascent takes seconds per slot
-      // at N=10000 — skip it there; every other solver is near-linear.
-      if (n > 1000 && std::string_view(solver.name) == "dv") continue;
-      solver.allocator->reset();
+    for (std::size_t k = 0; k < solvers.size(); ++k) {
+      core::Allocator& solver = *solvers[k];
+      solver.reset();
       Allocation out;
-      solver.allocator->allocate_into(problem, out);  // warm scratch
+      solver.allocate_into(problem, out);  // warm scratch
       const auto start = std::chrono::steady_clock::now();
       for (std::size_t i = 0; i < iters; ++i) {
-        solver.allocator->allocate_into(problem, out);
+        solver.allocate_into(problem, out);
         benchmark::DoNotOptimize(out.objective);
       }
       const double secs = std::chrono::duration<double>(
@@ -257,7 +212,8 @@ void run_sweep() {
                               .count();
       const double slots_per_sec =
           secs > 0.0 ? static_cast<double>(iters) / secs : 0.0;
-      std::printf("%-12s %8zu %14.1f %12.3f\n", solver.name, n, slots_per_sec,
+      std::printf("%-12s %8zu %14.1f %12.3f\n", names[k].c_str(), n,
+                  slots_per_sec,
                   slots_per_sec > 0.0 ? 1e6 / slots_per_sec : 0.0);
     }
   }

@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <future>
-#include <limits>
 #include <vector>
 
-#include "src/core/simd.h"
 #include "src/util/thread_pool.h"
 
 namespace cvr::core {
-
-namespace {
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-}  // namespace
 
 std::string_view DvGreedyAllocator::name() const {
   if (warm_start_) return "dv-warm";
@@ -73,41 +67,39 @@ double DvGreedyAllocator::seed_levels(const SlotProblem& problem, Rank rank,
   return used_rate;
 }
 
-void DvGreedyAllocator::greedy_pass(const SlotProblem& problem, Rank rank,
-                                    std::vector<QualityLevel>& q) {
+void DvGreedyAllocator::greedy_pass_scan(const SlotProblem& problem,
+                                         Rank rank,
+                                         std::vector<QualityLevel>& q) {
   const std::size_t n_users = problem.user_count();
-  const std::size_t stride = tables_.stride();
   double used_rate = seed_levels(problem, rank, q);
-
-  // Dense score array, one lane per user: the marginal score of the
-  // user's next increment, or -inf once quality_verification retired
-  // the user (level cap, B_n, or a B(t)-violating increment). Pad
-  // lanes [n_users, stride) stay -inf. Only the incremented user's
-  // lane changes per iteration, so the argmax is incremental: a
-  // FirstMaxTracker caches per-block maxima and returns the same index
-  // a full simd::argmax_first pass would, in O(stride/kBlock) instead
-  // of O(stride) per iteration.
-  const double* score_base = rank == Rank::kDensity
-                                 ? tables_.density_row(1)
-                                 : tables_.increment_row(1);
-  scores_.assign(stride, kNegInf);
+  // I = users that can still be raised.
+  active_.assign(n_users, 1);
   for (std::size_t n = 0; n < n_users; ++n) {
-    if (q[n] < kNumQualityLevels) {
-      scores_[n] = score_base[static_cast<std::size_t>(q[n] - 1) * stride + n];
-    }
+    if (q[n] >= kNumQualityLevels) active_[n] = 0;
   }
-  scan_max_.reset(scores_.data(), stride);
 
-  // quality_verification(q_n, I) from Algorithm 1, applied *after* a
-  // tentative increment: drop the user at the ceiling; revert and drop
-  // the user whose increment broke a rate constraint.
   while (true) {
-    const std::size_t best = scan_max_.argmax();
-    const double best_score = scores_[best];
-    // Negative best marginal stops the pass ("if eta_{n*} < 0 then
-    // I = {}"); -inf means every user is retired — same exit.
-    if (best_score < 0.0) break;
+    // n* = argmax over I of the marginal, evaluated directly; the
+    // first strict maximum wins, so ties go to the smallest index.
+    std::size_t best = n_users;
+    double best_score = 0.0;
+    for (std::size_t n = 0; n < n_users; ++n) {
+      if (!active_[n]) continue;
+      const double score =
+          rank == Rank::kDensity
+              ? h_density(problem.users[n], q[n], problem.params)
+              : h_increment(problem.users[n], q[n], problem.params);
+      if (best == n_users || score > best_score) {
+        best = n;
+        best_score = score;
+      }
+    }
+    // "if eta_{n*} < 0 then I = {}"; an empty I ends the pass too.
+    if (best == n_users || best_score < 0.0) break;
 
+    // quality_verification(q_n, I), applied *after* the tentative
+    // increment: revert and drop the user whose increment broke a rate
+    // constraint; drop the user at the ceiling.
     const auto& user = problem.users[best];
     const double inc = user.rate[static_cast<std::size_t>(q[best])] -
                        user.rate[static_cast<std::size_t>(q[best] - 1)];
@@ -117,18 +109,10 @@ void DvGreedyAllocator::greedy_pass(const SlotProblem& problem, Rank rank,
         used_rate > problem.server_bandwidth + kFeasibilityEpsilon) {
       q[best] -= 1;
       used_rate -= inc;
-      scores_[best] = kNegInf;
-      scan_max_.update(best);
-      continue;
+      active_[best] = 0;
+    } else if (q[best] == kNumQualityLevels) {
+      active_[best] = 0;
     }
-    if (q[best] == kNumQualityLevels) {
-      scores_[best] = kNegInf;
-      scan_max_.update(best);
-      continue;
-    }
-    scores_[best] =
-        score_base[static_cast<std::size_t>(q[best] - 1) * stride + best];
-    scan_max_.update(best);
   }
 }
 
@@ -227,12 +211,14 @@ void DvGreedyAllocator::allocate_into(const SlotProblem& problem,
   out.objective = 0.0;
   if (problem.user_count() == 0) return;
 
+  // Built for both strategies: the build is where a non-increasing
+  // rate table throws, and the objective and warm seed read it.
   tables_.build(problem, pool_, parallel_min_users_);
   const auto run_pass = [&](Rank rank, std::vector<QualityLevel>& dst) {
     if (strategy_ == Strategy::kHeap) {
       greedy_pass_heap(problem, rank, dst);
     } else {
-      greedy_pass(problem, rank, dst);
+      greedy_pass_scan(problem, rank, dst);
     }
   };
 

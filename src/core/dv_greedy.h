@@ -19,25 +19,22 @@
 // users. Because an increment changes only the chosen user's own
 // marginal (h_n depends only on user n's state), a lazy max-heap gives
 // the EXACT same ascent in O(N L log N); `Strategy::kHeap` is the
-// default, with the scan kept as the paper-literal reference and the
-// tests pinning bitwise-identical allocations between the two. The
-// scan itself now keeps a dense per-user score array (one lane per
-// user, -inf marking deactivated users) and finds each argmax with
-// simd::argmax_first — same winner as the textbook forward scan, one
-// AVX2 pass instead of a branchy loop.
+// default and reads its marginal scores from a per-slot HTable
+// (src/core/htable.h) precomputed in O(N L) — no h_value is recomputed
+// inside the ascent, and the steady-state path performs zero heap
+// allocations (scratch and table storage recycle their capacity).
 //
-// Both strategies read their marginal scores from a per-slot HTable
-// (src/core/htable.h) precomputed in O(N L) by the SoA/SIMD kernel —
-// no h_value is recomputed inside the ascent, and the steady-state
-// path performs zero heap allocations (scratch and table storage
-// recycle their capacity).
+// `Strategy::kScan` is the naive oracle: Algorithm 1 verbatim, a plain
+// forward loop over the active users per iteration that evaluates each
+// marginal directly with h_density / h_increment (qoe.h), never from
+// the table. Tests pin it bit-identical to the heap, so the property
+// compares two independent computations.
 #pragma once
 
 #include <vector>
 
 #include "src/core/allocator.h"
 #include "src/core/htable.h"
-#include "src/core/simd.h"
 
 namespace cvr::core {
 
@@ -50,17 +47,16 @@ class DvGreedyAllocator final : public Allocator {
   ///
   /// Tie-break contract: when several users share the best marginal
   /// score, the ascent raises the user with the SMALLEST index. kScan
-  /// keeps the first strict maximum of a forward scan (now evaluated
-  /// by simd::argmax_first over the dense score array — same winner by
-  /// construction); kHeap's comparator orders equal scores by index,
-  /// and stale entries are re-pushed before they can displace an
-  /// equally-scored fresh one. This contract is what makes the two
-  /// strategies bit-identical — same levels, same objective — which the
-  /// property `core.dv_scan_heap_identical` pins across 10k tie-heavy
-  /// instances (duplicated users, quantized rates, boundary-exact
-  /// budgets). kHeap is the default: O(N L log N) vs the scan's
-  /// O(N^2 L), with the scan kept as the paper-literal reference
-  /// implementation (registry name "dv-scan").
+  /// keeps the first strict maximum of a forward scan; kHeap's
+  /// comparator orders equal scores by index, and stale entries are
+  /// re-pushed before they can displace an equally-scored fresh one.
+  /// This contract is what makes the two strategies bit-identical —
+  /// same levels, same objective — which the property
+  /// `core.dv_scan_heap_identical` pins across 10k tie-heavy instances
+  /// (duplicated users, quantized rates, boundary-exact budgets).
+  /// kHeap is the default: O(N L log N) vs the scan's O(N^2 L), with
+  /// the scan kept as the paper-literal test oracle (registry name
+  /// "dv-scan").
   enum class Strategy { kScan, kHeap };
 
   /// Users-per-slot at or above which a pool attached via
@@ -75,7 +71,7 @@ class DvGreedyAllocator final : public Allocator {
   ///   start, so the formal bound is FORFEITED in this mode — the
   ///   result is still feasible and, on a repeated identical problem,
   ///   never worse than the cold objective (both pinned by
-  ///   tests/dv_greedy_test.cpp); docs/vectorization.md discusses when
+  ///   tests/dv_greedy_test.cpp); docs/performance.md discusses when
   ///   the trade is worth it.
   explicit DvGreedyAllocator(Mode mode = Mode::kCombined,
                              Strategy strategy = Strategy::kHeap,
@@ -95,9 +91,9 @@ class DvGreedyAllocator final : public Allocator {
 
   /// Borrows `pool` for within-slot parallelism: the SoA table build
   /// and the heap candidate fill partition the users into disjoint
-  /// lane-aligned ranges, so results stay bit-identical to the serial
-  /// path (TSan CI leg + tests/simd_test.cpp). Engaged only when
-  /// user_count >= the threshold below.
+  /// ranges, so results stay bit-identical to the serial path (TSan CI
+  /// leg + the ParallelMerge tests). Engaged only when user_count >=
+  /// the threshold below.
   void set_thread_pool(cvr::ThreadPool* pool) override { pool_ = pool; }
 
   /// Test hook: lowers the parallel engagement threshold so the
@@ -125,11 +121,9 @@ class DvGreedyAllocator final : public Allocator {
  private:
   enum class Rank { kDensity, kValue };
 
-  /// The one rank-dispatch point both strategies share: the marginal
-  /// score of raising this user from q to q+1, read from the table.
-  /// Static dispatch — `rank` is a compile-time-known branch in every
-  /// caller's loop, and both arms are single strided loads from the
-  /// SoA planes (density = increment / rate-step, both precomputed).
+  /// The marginal score of raising this user from q to q+1, read from
+  /// the table (the heap and the warm-start repair). Both arms are
+  /// single strided loads from the SoA planes.
   static double rank_score(const HTable& table, QualityLevel q, Rank rank) {
     return rank == Rank::kDensity ? table.density(q) : table.increment(q);
   }
@@ -142,9 +136,10 @@ class DvGreedyAllocator final : public Allocator {
   double seed_levels(const SlotProblem& problem, Rank rank,
                      std::vector<QualityLevel>& q);
 
-  /// One greedy ascent over tables_; writes the resulting levels.
-  void greedy_pass(const SlotProblem& problem, Rank rank,
-                   std::vector<QualityLevel>& q);
+  /// One greedy ascent; writes the resulting levels. The scan is the
+  /// oracle (direct h evaluation), the heap the fast path (tables_).
+  void greedy_pass_scan(const SlotProblem& problem, Rank rank,
+                        std::vector<QualityLevel>& q);
   void greedy_pass_heap(const SlotProblem& problem, Rank rank,
                         std::vector<QualityLevel>& q);
 
@@ -168,8 +163,6 @@ class DvGreedyAllocator final : public Allocator {
   std::vector<QualityLevel> value_levels_;
   std::vector<QualityLevel> prev_levels_;  ///< Warm-start seed.
   std::vector<char> active_;
-  std::vector<double> scores_;  ///< Dense scan scores, -inf = inactive.
-  simd::FirstMaxTracker scan_max_;  ///< Incremental argmax over scores_.
   std::vector<HeapEntry> heap_;
 };
 

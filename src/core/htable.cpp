@@ -1,8 +1,6 @@
 #include "src/core/htable.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
 #include <future>
 #include <stdexcept>
 #include <vector>
@@ -11,35 +9,14 @@
 
 namespace cvr::core {
 
-namespace {
-
-inline bool bits_equal(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-}  // namespace
-
 void SlotProblemSoA::prepare(const SlotProblem& problem) {
   users = problem.user_count();
-  stride = simd::padded(users);
   const auto levels = static_cast<std::size_t>(kNumQualityLevels);
-  success.resize(levels * stride);
-  weight.resize(stride);
-  qbar.resize(stride);
-  rate.resize(levels * stride);
-  delay.resize(levels * stride);
-  // Pad lanes: success 1, weight 0, qbar 0, delay 0 and strictly
-  // increasing rates make every derived pad output a finite number that
-  // passes the dr > 0 validation without masking.
-  for (std::size_t i = users; i < stride; ++i) {
-    weight[i] = 0.0;
-    qbar[i] = 0.0;
-    for (std::size_t l = 0; l < levels; ++l) {
-      success[l * stride + i] = 1.0;
-      rate[l * stride + i] = static_cast<double>(l + 1);
-      delay[l * stride + i] = 0.0;
-    }
-  }
+  success.resize(levels * users);
+  weight.resize(users);
+  qbar.resize(users);
+  rate.resize(levels * users);
+  delay.resize(levels * users);
 }
 
 void SlotProblemSoA::gather_range(const SlotProblem& problem, std::size_t begin,
@@ -51,59 +28,59 @@ void SlotProblemSoA::gather_range(const SlotProblem& problem, std::size_t begin,
     weight[i] = t > 1.0 ? (t - 1.0) / t : 0.0;
     qbar[i] = user.qbar;
     for (std::size_t l = 0; l < levels; ++l) {
-      success[l * stride + i] =
+      success[l * users + i] =
           user.effective_delta(static_cast<QualityLevel>(l + 1));
-      rate[l * stride + i] = user.rate[l];
-      delay[l * stride + i] = user.delay[l];
+      rate[l * users + i] = user.rate[l];
+      delay[l * users + i] = user.delay[l];
     }
   }
 }
 
-void SlotProblemSoA::gather(const SlotProblem& problem) {
-  prepare(problem);
-  gather_range(problem, 0, users);
-}
-
-bool SlotProblemSoA::gather_user_tracked(const SlotProblem& problem,
-                                         std::size_t i) {
-  const UserSlotContext& user = problem.users[i];
-  const double t = user.slot;
+void HTableSet::build(const SlotProblem& problem, cvr::ThreadPool* pool,
+                      std::size_t parallel_min_users) {
+  soa_.prepare(problem);
+  users_ = soa_.users;
   const auto levels = static_cast<std::size_t>(kNumQualityLevels);
-  // XOR-accumulate the bit difference of every compare+store: branch-free
-  // in the all-clean steady state the path exists for.
-  std::uint64_t diff = 0;
-  const auto store = [&diff](double& slot, double value) {
-    diff |= std::bit_cast<std::uint64_t>(slot) ^
-            std::bit_cast<std::uint64_t>(value);
-    slot = value;
-  };
-  store(weight[i], t > 1.0 ? (t - 1.0) / t : 0.0);
-  store(qbar[i], user.qbar);
-  for (std::size_t l = 0; l < levels; ++l) {
-    store(success[l * stride + i],
-          user.effective_delta(static_cast<QualityLevel>(l + 1)));
-    store(rate[l * stride + i], user.rate[l]);
-    store(delay[l * stride + i], user.delay[l]);
+  h_.resize(levels * users_);
+  increment_.resize((levels - 1) * users_);
+  density_.resize((levels - 1) * users_);
+
+  if (pool != nullptr && users_ >= parallel_min_users && users_ > 0) {
+    // Disjoint user ranges: every task gathers and evaluates its own
+    // slice, so the result is bit-identical to the serial build
+    // regardless of scheduling. Futures are drained in range order, so
+    // the lowest range's exception wins.
+    const std::size_t per_task = (users_ + pool->size() - 1) / pool->size();
+    std::vector<std::future<void>> tasks;
+    tasks.reserve((users_ + per_task - 1) / per_task);
+    for (std::size_t begin = 0; begin < users_; begin += per_task) {
+      const std::size_t end = std::min(begin + per_task, users_);
+      tasks.push_back(pool->submit(
+          [this, &problem, begin, end] { build_range(problem, begin, end); }));
+    }
+    for (auto& task : tasks) task.get();
+  } else {
+    build_range(problem, 0, users_);
   }
-  return diff != 0;
+
+  validate_rates();
 }
 
-namespace detail {
-
-void build_htables_scalar(const SlotProblemSoA& soa, const QoeParams& params,
-                          std::size_t begin, std::size_t end, double* h,
-                          double* increment, double* density) {
-  const std::size_t stride = soa.stride;
+void HTableSet::build_range(const SlotProblem& problem, std::size_t begin,
+                            std::size_t end) {
+  soa_.gather_range(problem, begin, end);
+  const QoeParams& params = problem.params;
+  const std::size_t stride = users_;
   for (std::size_t l = 0; l < static_cast<std::size_t>(kNumQualityLevels);
        ++l) {
     const double qv = static_cast<double>(l + 1);
-    const double* success_row = soa.success.data() + l * stride;
-    const double* delay_row = soa.delay.data() + l * stride;
-    double* out = h + l * stride;
+    const double* success_row = soa_.success.data() + l * stride;
+    const double* delay_row = soa_.delay.data() + l * stride;
+    double* out = h_.data() + l * stride;
     for (std::size_t i = begin; i < end; ++i) {
       const double s = success_row[i];
-      const double w = soa.weight[i];
-      const double qb = soa.qbar[i];
+      const double w = soa_.weight[i];
+      const double qb = soa_.qbar[i];
       const double dq = qv - qb;
       // The exact expression and association order of
       // detail::h_value_unchecked — the bit-identity anchor.
@@ -113,12 +90,12 @@ void build_htables_scalar(const SlotProblemSoA& soa, const QoeParams& params,
   }
   for (std::size_t l = 0; l + 1 < static_cast<std::size_t>(kNumQualityLevels);
        ++l) {
-    const double* h_lo = h + l * stride;
-    const double* h_hi = h + (l + 1) * stride;
-    const double* r_lo = soa.rate.data() + l * stride;
-    const double* r_hi = soa.rate.data() + (l + 1) * stride;
-    double* inc = increment + l * stride;
-    double* den = density + l * stride;
+    const double* h_lo = h_.data() + l * stride;
+    const double* h_hi = h_.data() + (l + 1) * stride;
+    const double* r_lo = soa_.rate.data() + l * stride;
+    const double* r_hi = soa_.rate.data() + (l + 1) * stride;
+    double* inc = increment_.data() + l * stride;
+    double* den = density_.data() + l * stride;
     for (std::size_t i = begin; i < end; ++i) {
       inc[i] = h_hi[i] - h_lo[i];
       den[i] = inc[i] / (r_hi[i] - r_lo[i]);
@@ -126,161 +103,18 @@ void build_htables_scalar(const SlotProblemSoA& soa, const QoeParams& params,
   }
 }
 
-}  // namespace detail
-
-void HTableSet::build(const SlotProblem& problem, cvr::ThreadPool* pool,
-                      std::size_t parallel_min_users) {
-  // Incremental preconditions: the previous build on this set completed,
-  // the lane layout is unchanged, and the params that parameterise the
-  // kernel are bitwise the same. Anything else — including a build that
-  // threw — takes the full path.
-  const bool incremental = valid_ && problem.user_count() == users_ &&
-                           users_ > 0 &&
-                           bits_equal(params_.alpha, problem.params.alpha) &&
-                           bits_equal(params_.beta, problem.params.beta);
-  valid_ = false;
-  params_ = problem.params;
-  if (incremental) {
-    build_incremental(problem, pool, parallel_min_users);
-  } else {
-    build_full(problem, pool, parallel_min_users);
-  }
-  valid_ = true;
-}
-
-void HTableSet::run_kernel(const QoeParams& params, std::size_t begin,
-                           std::size_t end) {
-#if defined(CVR_HAVE_AVX2)
-  if (simd::active_backend() == simd::Backend::kAvx2) {
-    detail::build_htables_avx2(soa_, params, begin, end, h_.data(),
-                               increment_.data(), density_.data());
-    return;
-  }
-#endif
-  detail::build_htables_scalar(soa_, params, begin, end, h_.data(),
-                               increment_.data(), density_.data());
-}
-
-void HTableSet::validate_rates(std::size_t begin, std::size_t end) const {
+void HTableSet::validate_rates() const {
   // Validated-at-build: this pass over the rate planes replaces
   // h_density's per-call throw. NaN steps are deliberately NOT flagged
   // (dr <= 0 is false for NaN), matching h_density exactly.
   const auto levels = static_cast<std::size_t>(kNumQualityLevels);
-  const std::size_t last = std::min(end, users_);
   for (std::size_t l = 0; l + 1 < levels; ++l) {
-    const double* r_lo = soa_.rate.data() + l * stride_;
-    const double* r_hi = soa_.rate.data() + (l + 1) * stride_;
-    for (std::size_t i = begin; i < last; ++i) {
+    const double* r_lo = soa_.rate.data() + l * users_;
+    const double* r_hi = soa_.rate.data() + (l + 1) * users_;
+    for (std::size_t i = 0; i < users_; ++i) {
       if (r_hi[i] - r_lo[i] <= 0.0) {
         throw std::logic_error("HTable: rates must be strictly increasing");
       }
-    }
-  }
-}
-
-void HTableSet::build_full(const SlotProblem& problem, cvr::ThreadPool* pool,
-                           std::size_t parallel_min_users) {
-  soa_.prepare(problem);
-  users_ = soa_.users;
-  stride_ = soa_.stride;
-  const auto levels = static_cast<std::size_t>(kNumQualityLevels);
-  h_.resize(levels * stride_);
-  increment_.resize((levels - 1) * stride_);
-  density_.resize((levels - 1) * stride_);
-
-  if (pool != nullptr && users_ >= parallel_min_users && stride_ > 0) {
-    // Lane-aligned disjoint ranges: every task gathers and evaluates
-    // its own slice, so the result is bit-identical to the serial
-    // build regardless of scheduling. Futures are drained in range
-    // order, so the lowest range's exception wins.
-    const std::size_t lanes = stride_ / simd::kLanes;
-    const std::size_t per_task =
-        (lanes + pool->size() - 1) / pool->size() * simd::kLanes;
-    std::vector<std::future<void>> tasks;
-    tasks.reserve((stride_ + per_task - 1) / per_task);
-    for (std::size_t begin = 0; begin < stride_; begin += per_task) {
-      const std::size_t end = std::min(begin + per_task, stride_);
-      tasks.push_back(pool->submit([this, &problem, begin, end] {
-        const std::size_t gather_end = std::min(end, soa_.users);
-        if (begin < gather_end) soa_.gather_range(problem, begin, gather_end);
-        run_kernel(problem.params, begin, end);
-      }));
-    }
-    for (auto& task : tasks) task.get();
-  } else {
-    soa_.gather_range(problem, 0, users_);
-    run_kernel(problem.params, 0, stride_);
-  }
-
-  validate_rates(0, users_);
-}
-
-void HTableSet::build_incremental(const SlotProblem& problem,
-                                  cvr::ThreadPool* pool,
-                                  std::size_t parallel_min_users) {
-  // Planes are already sized for this user count (precondition), so the
-  // steady-state path below performs zero heap allocations (pinned by
-  // tests/slot_arena_test.cpp). The fused gather compares every lane's
-  // freshly computed inputs bitwise against the plane contents and
-  // marks changed simd::kLanes blocks; only those blocks re-run the
-  // kernel and the rate validation. Clean blocks keep outputs that are
-  // bit-identical to a recompute (pure per-lane function of unchanged
-  // inputs), and their rates were validated by the previous build.
-  const std::size_t blocks = stride_ / simd::kLanes;
-  dirty_.resize(blocks);
-  std::fill(dirty_.begin(), dirty_.end(), 0);
-
-  const auto gather_tracked = [this, &problem](std::size_t begin,
-                                               std::size_t end) {
-    const std::size_t last = std::min(end, soa_.users);
-    for (std::size_t i = begin; i < last; ++i) {
-      if (soa_.gather_user_tracked(problem, i)) {
-        dirty_[i / simd::kLanes] = 1;
-      }
-    }
-  };
-  const auto kernel_dirty = [this, &problem](std::size_t block_begin,
-                                             std::size_t block_end) {
-    // Coalesce runs of dirty blocks into single kernel calls; block
-    // bounds keep begin/end lane-aligned for the AVX2 kernel.
-    std::size_t b = block_begin;
-    while (b < block_end) {
-      if (!dirty_[b]) {
-        ++b;
-        continue;
-      }
-      std::size_t run_end = b + 1;
-      while (run_end < block_end && dirty_[run_end]) ++run_end;
-      run_kernel(problem.params, b * simd::kLanes, run_end * simd::kLanes);
-      b = run_end;
-    }
-  };
-
-  if (pool != nullptr && users_ >= parallel_min_users && stride_ > 0) {
-    // Same lane-aligned partition as the full build: each task tracks
-    // and recomputes only its own disjoint slice, so scheduling cannot
-    // change any output bit.
-    const std::size_t per_task =
-        (blocks + pool->size() - 1) / pool->size() * simd::kLanes;
-    std::vector<std::future<void>> tasks;
-    tasks.reserve((stride_ + per_task - 1) / per_task);
-    for (std::size_t begin = 0; begin < stride_; begin += per_task) {
-      const std::size_t end = std::min(begin + per_task, stride_);
-      tasks.push_back(
-          pool->submit([&gather_tracked, &kernel_dirty, begin, end] {
-            gather_tracked(begin, end);
-            kernel_dirty(begin / simd::kLanes, end / simd::kLanes);
-          }));
-    }
-    for (auto& task : tasks) task.get();
-  } else {
-    gather_tracked(0, stride_);
-    kernel_dirty(0, blocks);
-  }
-
-  for (std::size_t b = 0; b < blocks; ++b) {
-    if (dirty_[b]) {
-      validate_rates(b * simd::kLanes, (b + 1) * simd::kLanes);
     }
   }
 }
@@ -291,7 +125,7 @@ double HTableSet::evaluate(const std::vector<QualityLevel>& levels) const {
   }
   double total = 0.0;
   for (std::size_t n = 0; n < users_; ++n) {
-    total += h_[static_cast<std::size_t>(levels[n] - 1) * stride_ + n];
+    total += h_[static_cast<std::size_t>(levels[n] - 1) * users_ + n];
   }
   return total;
 }

@@ -34,8 +34,7 @@ void count_fleet(telemetry::Collector* telemetry, telemetry::Counter counter,
 
 /// The effective worker count for the per-server phases: the config
 /// knob, overridden by CVR_FLEET_THREADS when set to a parseable value
-/// (the CI forced-serial leg exports CVR_FLEET_THREADS=1 the same way
-/// CVR_FORCE_SCALAR forces the scalar SIMD backend).
+/// (the CI forced-serial leg exports CVR_FLEET_THREADS=1).
 std::size_t resolve_fleet_threads(std::size_t configured) {
   const char* env = std::getenv("CVR_FLEET_THREADS");
   if (env != nullptr && env[0] != '\0') {

@@ -106,7 +106,7 @@ struct FleetConfig {
   /// (the global phases — fleet control, budget split, router service,
   /// the RNG-consuming serve loop — always run on the coordinating
   /// thread). The CVR_FLEET_THREADS env var overrides this when set
-  /// (CI's forced-serial leg, mirroring CVR_FORCE_SCALAR).
+  /// (CI's forced-serial leg).
   std::size_t threads = 1;
 };
 

@@ -93,7 +93,7 @@ SlotProblemGenConfig published_model_config() {
 SlotProblemGenConfig extreme_rates_config() {
   SlotProblemGenConfig config;
   config.min_users = 1;
-  config.max_users = 21;  // covers every N mod 4 remainder-lane case
+  config.max_users = 21;
   config.duplicate_user_probability = 0.25;
   config.quantize_probability = 0.25;
   config.loss_aware_probability = 0.2;
@@ -133,7 +133,7 @@ core::SlotProblem gen_slot_problem(cvr::Rng& rng,
       // Power-of-two rescales are exact while the result stays normal,
       // so the rate ordering survives; the density division then runs
       // at ~2^±1000 and (half the time) the delays go denormal — the
-      // SIMD≡scalar properties must hold bit-for-bit even here.
+      // table≡direct property must hold bit-for-bit even here.
       const double scale = rng.bernoulli(0.5) ? 0x1p-1000 : 0x1p+600;
       for (double& r : user.rate) r *= scale;
       user.user_bandwidth *= scale;

@@ -55,8 +55,8 @@ struct SlotProblemGenConfig {
   /// Probability of rescaling a user's tables to the edges of the
   /// double range: rate axis by an exact power of two (2^-1000 or
   /// 2^600 — ordering preserved, densities pushed to ~2^±1000) and,
-  /// half the time, delays into the DENORMAL range. The SIMD kernels
-  /// must stay bit-identical to the scalar path even here.
+  /// half the time, delays into the DENORMAL range. The h-table must
+  /// stay bit-identical to the direct h_value path even here.
   double extreme_rate_probability = 0.0;
 };
 
@@ -72,9 +72,9 @@ SlotProblemGenConfig tie_heavy_config();
 /// analytic-table) model, e.g. discrete concavity of h.
 SlotProblemGenConfig published_model_config();
 
-/// Preset for the SIMD≡scalar bit-exactness sweep: user counts
-/// covering every residue of the vector width (remainder lanes),
-/// tie-heavy duplicates, and extreme/denormal-scaled tables.
+/// Preset for the table≡direct bit-exactness sweep at the edges of the
+/// double range: up to 21 users, tie-heavy duplicates, and
+/// extreme/denormal-scaled tables.
 SlotProblemGenConfig extreme_rates_config();
 
 core::SlotProblem gen_slot_problem(cvr::Rng& rng,

@@ -95,7 +95,9 @@ TEST(Shrink, SlotProblemReachesTheLocalMinimum) {
   // Local minimality: no single candidate reduction still fails.
   for (const SlotProblem& candidate :
        ShrinkTraits<SlotProblem>::candidates(outcome.minimal)) {
-    if (candidate.users.size() < 2) EXPECT_FALSE(fails(candidate));
+    if (candidate.users.size() < 2) {
+      EXPECT_FALSE(fails(candidate));
+    }
   }
 }
 

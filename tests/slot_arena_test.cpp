@@ -196,10 +196,9 @@ TEST(ZeroAllocation, HTableSetRebuildSteadyState) {
 }
 
 TEST(ZeroAllocation, HTableSetIncrementalRebuildSteadyState) {
-  // The dirty-row path specifically: after warm-up, each slot mutates a
-  // single user and rebuilds. The fingerprint compare, dirty bitmap,
-  // and partial kernel sweep must all run allocation-free — including
-  // the occasional clean rebuild (no user changed at all).
+  // A slowly changing population: after warm-up, each slot mutates a
+  // single user and rebuilds, then rebuilds the unchanged problem
+  // again. Both full rebuilds must run allocation-free.
   SlotArena arena;
   SlotProblem* problem = nullptr;
   HTableSet tables;
@@ -217,7 +216,7 @@ TEST(ZeroAllocation, HTableSetIncrementalRebuildSteadyState) {
         f, 40.0 + 5.0 * static_cast<double>(u), 0.9,
         0.5 * static_cast<double>(t), static_cast<double>(t + 1));
     tables.build(*problem);
-    tables.build(*problem);  // fully-clean rebuild: nothing dirty
+    tables.build(*problem);  // same problem again
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
 }
